@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import weighted
 from .core import BLUE, RED, GameError, Graph, QueryState, parse_coloring
 from .generators import is_path_in_order, is_tree
-from .graphsolver import GameView
+from .graphsolver import Game, GameView, adversary_successors, root_codes
 
 
 class AdversaryInvariantError(GameError):
@@ -528,26 +528,15 @@ def covering_playback(graph: Graph, adversary, querier) -> PlaybackReport:
     total weight never increases (and drops by at most the adversary's cap
     during the discipline phase), and no cover-touching component is
     balanced before the endgame."""
-    from .core import apply_query, initial_state, normalize_edge, terminal_outcome
-    from .graphsolver import Transcript, answer_for_target
-
-    state = initial_state(graph)
+    game = Game(graph, adversary)
     violations: list[str] = []
     switch_at = None
-    log = []
-    outcome = terminal_outcome(state)
-    while outcome is None:
-        view = GameView.from_state(state)
-        edge = normalize_edge(*querier(state))
-        if view.comp_of(edge[0]) == view.comp_of(edge[1]):
-            raise GameError(f"querier proposed intra-component edge {edge}")
-        target = adversary.choose_merge(view, edge)
+    while game.outcome() is None:
+        view = game.view
         disciplined = adversary.discipline_active(view)
-        ans = answer_for_target(state, edge, target)
-        state = apply_query(state, edge, ans)
-        log.append((edge, ans))
-        moves = len(log)
-        new_view = GameView.from_state(state)
+        game.ask(*querier(game.state))
+        new_view = game.view
+        moves = len(game.moves)
         if new_view.total > view.total:
             violations.append(f"move {moves}: total weight increased")
         if disciplined and view.total - new_view.total > adversary.max_drop:
@@ -558,61 +547,40 @@ def covering_playback(graph: Graph, adversary, querier) -> PlaybackReport:
                     violations.append(f"move {moves}: cover component balanced before endgame")
         if switch_at is None and not adversary.discipline_active(new_view):
             switch_at = new_view.total
-        outcome = terminal_outcome(state)
-    transcript = Transcript(graph, tuple(log), outcome)
-    return PlaybackReport(len(log), violations, switch_at, transcript)
+    return PlaybackReport(len(game.moves), violations, switch_at, game.transcript())
 
 
 def treelemma_random_order_check(graph: Graph, adversary, seed: int = 0, plays: int = 3) -> list[str]:
     """Full random-order plays against a weight-discipline adversary,
     checking the lemma conditions after every answer."""
-    from .core import apply_query, initial_state, normalize_edge, terminal_outcome
-    from .graphsolver import answer_for_target
-
     violations: list[str] = []
     for t in range(plays):
         querier = random_querier(seed + t)
-        state = initial_state(graph)
-        moves = 0
-        while terminal_outcome(state) is None:
-            view = GameView.from_state(state)
-            edge = normalize_edge(*querier(state))
-            target = adversary.choose_merge(view, edge)
-            state = apply_query(state, edge, answer_for_target(state, edge, target))
-            moves += 1
-            problems = check_treelemma_conditions(graph, GameView.from_state(state))
-            violations += [f"play {t} move {moves}: {p}" for p in problems]
+        game = Game(graph, adversary)
+        while game.outcome() is None:
+            game.ask(*querier(game.state))
+            problems = check_treelemma_conditions(graph, game.view)
+            violations += [f"play {t} move {len(game.moves)}: {p}" for p in problems]
     return violations
 
 
 def verify_treelemma_all_orders(graph: Graph) -> bool:
     """Exhaustively walk every query order against the weight-discipline
-    adversary and check its conditions in every reached state."""
-    from .graphsolver import SHIFT, WMASK, GraphSolver
+    adversary and check its conditions in every reached state.
 
+    Each distinct state is checked once, on entry; the walk goes on past
+    terminal states, whose proper components the conditions still cover.
+    """
     adversary = TreelemmaAdversary(graph)
     seen: set[tuple[int, ...]] = set()
-    root = tuple(sorted(((1 << v) << SHIFT) | 1 for v in range(graph.n)))
-
-    def rec(codes) -> bool:
+    stack = [root_codes(graph.n)]
+    while stack:
+        codes = stack.pop()
         if codes in seen:
-            return True
+            continue
         seen.add(codes)
-        masks = [c >> SHIFT for c in codes]
-        ws = [c & WMASK for c in codes]
-        view = GameView(graph, masks, ws)
-        for u, v in graph.sorted_edges:
-            a, b = view.vertex_comp[u], view.vertex_comp[v]
-            if a == b:
-                continue
-            target = adversary.choose_merge(view, (u, v))
-            i, j = (a, b) if a < b else (b, a)
-            succ = GraphSolver._merge_codes(codes, i, j, target)
-            s_view = GameView(graph, [c >> SHIFT for c in succ], [c & WMASK for c in succ])
-            if check_treelemma_conditions(graph, s_view):
-                return False
-            if not rec(succ):
-                return False
-        return True
-
-    return rec(root)
+        view = GameView(graph, codes)
+        if check_treelemma_conditions(graph, view):
+            return False
+        stack += adversary_successors(view, adversary)
+    return True

@@ -11,22 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import adversary as adv
 from . import bounds, constructions, generators, nondet, suites, weighted
 from .bounds import popcount
-from .core import Graph, UnsolvableGraphError, initial_state, terminal_outcome
-from .graphsolver import (
-    GameView,
-    answer_for_target,
-    forced_queries,
-    play,
-    solve_graph,
-)
+from .core import Graph, UnsolvableGraphError, component_weights
+from .graphsolver import Game, forced_queries, play, solve_graph
 
 
 def _load_graph(path: str) -> Graph:
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
     return Graph.from_text(text)
 
 
@@ -63,6 +58,8 @@ def _cmd_solve_graph(args) -> int:
         "value": res.value,
         "nodes_expanded": res.nodes_expanded,
         "runtime_ms": round(res.runtime_ms, 3),
+        "canonical": res.canonical,
+        "table_entries": res.table_entries,
     }
     _emit(payload, args.json, f"m(G) = {res.value}  [n={graph.n}, m={len(graph.edges)}, "
           f"{res.nodes_expanded} nodes, {res.runtime_ms:.1f} ms, {res.canonical} keys]")
@@ -102,23 +99,23 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _make_adversary(name: str, graph: Graph, args):
-    if name == "treelemma":
-        return adv.TreelemmaAdversary(graph)
-    if name == "eventrees":
-        return adv.ColoringAdversary(adv.eventrees_coloring(graph))
-    if name == "exact":
-        return adv.ExactWeightedAdversary()
-    if name == "same":
-        return adv.AlwaysSameAdversary()
-    if name == "lefogo1":
-        cover = frozenset(_parse_vector(args.cover))
-        return adv.Lefogo1Adversary(graph, cover)
-    if name == "oddpath":
-        return adv.OddpathAdversary(graph, stride=args.stride)
-    if name == "lefogo2":
-        return adv.Lefogo2Adversary(graph, p=args.p)
-    raise ValueError(f"unknown adversary {name!r}")
+_ADVERSARIES = {
+    "treelemma": lambda graph, args: adv.TreelemmaAdversary(graph),
+    "eventrees": lambda graph, args: adv.ColoringAdversary(adv.eventrees_coloring(graph)),
+    "lefogo1": lambda graph, args: adv.Lefogo1Adversary(graph, frozenset(_parse_vector(args.cover))),
+    "oddpath": lambda graph, args: adv.OddpathAdversary(graph, stride=args.stride),
+    "lefogo2": lambda graph, args: adv.Lefogo2Adversary(graph, p=args.p),
+    "exact": lambda graph, args: adv.ExactWeightedAdversary(),
+    "same": lambda graph, args: adv.AlwaysSameAdversary(),
+}
+
+
+def _add_adversary_args(p, *name_flags, **name_kw) -> None:
+    """The adversary choice plus the options its factories read."""
+    p.add_argument(*name_flags, choices=list(_ADVERSARIES), **name_kw)
+    p.add_argument("--stride", type=int, choices=[8, 9], default=9)
+    p.add_argument("--p", type=int, default=32)
+    p.add_argument("--cover", default="0", help="cover vertices for lefogo1, e.g. 0,3")
 
 
 def _make_querier(kind: str, graph: Graph):
@@ -135,7 +132,7 @@ def _make_querier(kind: str, graph: Graph):
 
 def _cmd_adversary(args) -> int:
     graph = _load_graph(args.graph)
-    strategy = _make_adversary(args.name, graph, args)
+    strategy = _ADVERSARIES[args.name](graph, args)
     querier = _make_querier(args.vs, graph)
     if hasattr(strategy, "discipline_active"):
         report = adv.covering_playback(graph, strategy, querier)
@@ -159,7 +156,7 @@ def _cmd_adversary(args) -> int:
 
 def _cmd_forced(args) -> int:
     graph = _load_graph(args.graph)
-    strategy = _make_adversary(args.name, graph, args)
+    strategy = _ADVERSARIES[args.name](graph, args)
     value = forced_queries(graph, strategy)
     _emit({"adversary": args.name, "forced_queries": value}, args.json,
           f"forced queries vs {args.name}: {value}")
@@ -242,8 +239,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_play(args) -> int:
     graph = _load_graph(args.graph)
-    strategy = _make_adversary(args.adversary, graph, args)
-    state = initial_state(graph)
+    game = Game(graph, _ADVERSARIES[args.adversary](graph, args))
     print(f"# majority game on n={graph.n}, m={len(graph.edges)}; "
           f"adversary: {args.adversary}; enter 'u v' to query, 'quit' to stop")
     for line in sys.stdin:
@@ -252,20 +248,13 @@ def _cmd_play(args) -> int:
             break
         try:
             u, v = (int(x) for x in line.split())
-            from .core import apply_query, normalize_edge
-
-            edge = normalize_edge(u, v)
-            view = GameView.from_state(state)
-            target = strategy.choose_merge(view, edge)
-            ans = answer_for_target(state, edge, target)
-            state = apply_query(state, edge, ans)
+            game.ask(u, v)
         except Exception as exc:  # noqa: BLE001 - REPL surface
             print(f"rejected: {exc}")
             continue
-        from .core import component_weights
-
-        print(f"QUERY {edge[0]} {edge[1]} -> {ans.value}   weights: {component_weights(state)}")
-        outcome = terminal_outcome(state)
+        (a, b), ans = game.moves[-1]
+        print(f"QUERY {a} {b} -> {ans.value}   weights: {component_weights(game.state)}")
+        outcome = game.outcome()
         if outcome is not None:
             print(outcome)
             return 0
@@ -321,23 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("adversary", help="play an adversary strategy and report invariants")
-    p.add_argument("name", choices=["treelemma", "eventrees", "lefogo1", "oddpath",
-                                    "lefogo2", "exact", "same"])
+    _add_adversary_args(p, "name")
     p.add_argument("graph")
-    p.add_argument("--stride", type=int, choices=[8, 9], default=9)
-    p.add_argument("--p", type=int, default=32)
-    p.add_argument("--cover", default="0", help="cover vertices for lefogo1, e.g. 0,3")
     p.add_argument("--vs", default="random:0", help="optimal|spanning|random:<seed>")
     add_json(p)
     p.set_defaults(fn=_cmd_adversary)
 
     p = sub.add_parser("forced", help="min queries any querier needs vs a fixed adversary")
-    p.add_argument("name", choices=["treelemma", "eventrees", "lefogo1", "oddpath",
-                                    "lefogo2", "exact", "same"])
+    _add_adversary_args(p, "name")
     p.add_argument("graph")
-    p.add_argument("--stride", type=int, choices=[8, 9], default=9)
-    p.add_argument("--p", type=int, default=32)
-    p.add_argument("--cover", default="0")
     add_json(p)
     p.set_defaults(fn=_cmd_forced)
 
@@ -383,12 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("play", help="interactive transcript REPL vs an adversary")
     p.add_argument("graph")
-    p.add_argument("--adversary", default="exact",
-                   choices=["treelemma", "eventrees", "lefogo1", "oddpath",
-                            "lefogo2", "exact", "same"])
-    p.add_argument("--stride", type=int, choices=[8, 9], default=9)
-    p.add_argument("--p", type=int, default=32)
-    p.add_argument("--cover", default="0")
+    _add_adversary_args(p, "--adversary", default="exact")
     p.set_defaults(fn=_cmd_play)
 
     p = sub.add_parser("run-suite", help="acceptance check suites")

@@ -225,13 +225,11 @@ class MinedgeQuerier:
         The residual solver is shared across calls, so the whole answer
         tree of one construction reuses one table.
         """
-        from .graphsolver import GraphSolver, encode_state
+        from .graphsolver import GraphSolver
 
         if self._endgame_solver is None:
             self._endgame_solver = GraphSolver(self.construction.graph)
-        solver = self._endgame_solver
-        solver._value(encode_state(state))
-        return solver.best_query(state)
+        return self._endgame_solver.best_query(state)
 
 
 def minedge_querier(n: int) -> MinedgeQuerier:

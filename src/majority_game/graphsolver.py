@@ -1,10 +1,19 @@
 """Exact m(G) by canonicalized minimax with a transposition table.
 
-States are kept as sorted tuples of packed components (vertex bitmask plus
-component weight).  Two successor weights are reachable from any
+States are kept as sorted tuples of packed components: the vertex bitmask
+above a weight field of ``n.bit_length()`` bits, which holds any weight,
+since a component's weight never exceeds n.  Two successor weights are reachable from any
 cross-component query (the sum and the absolute difference), and the game
 value of a state depends only on the component partition and the weights,
 so states that differ in their internal splits share one table entry.
+This module owns the packed format; other modules reach it only through
+``GameView``, ``root_codes``, ``adversary_successors`` and ``Game``.
+
+On the path 0-1-...-(n-1) every component is an interval and sorted codes
+list them left to right, so the value depends only on the sequence of
+component weights up to reversal: path mode keys the table by that
+sequence.  Zero weights stay in it, because they still separate their
+neighbours.
 
 Pruning: the weighted game on the current component weights is a
 relaxation of the graph game (it allows every pair), so its exact value is
@@ -36,8 +45,7 @@ from .core import (
 )
 from .generators import is_path_in_order
 
-SHIFT = 7  # weight field below the vertex mask; requires n < 2**SHIFT
-WMASK = (1 << SHIFT) - 1
+MAX_SOLVER_N = 128  # the minimax is out of reach far below this
 
 
 def _weighted_value(ws) -> int:
@@ -82,24 +90,71 @@ class Transcript:
         return state
 
 
+# -- packed states -------------------------------------------------------
+
+
+def root_codes(n: int) -> tuple[int, ...]:
+    """The packed start state: n singletons of weight 1, in sorted order."""
+    shift = n.bit_length()
+    return tuple(((1 << v) << shift) | 1 for v in range(n))
+
+
+def encode_state(state: QueryState) -> tuple[int, ...]:
+    shift = state.graph.n.bit_length()
+    codes = []
+    for comp in state.components:
+        m = 0
+        for v in comp.side_a + comp.side_b:
+            m |= 1 << v
+        codes.append((m << shift) | comp.weight)
+    return tuple(sorted(codes))
+
+
+def _vertex_comp(n: int, codes) -> list[int]:
+    """Index in ``codes`` of the component holding each vertex."""
+    shift = n.bit_length()
+    vc = [0] * n
+    for i, c in enumerate(codes):
+        m = c >> shift
+        while m:
+            v = (m & -m).bit_length() - 1
+            vc[v] = i
+            m &= m - 1
+    return vc
+
+
+def _terminal(codes, wmask: int) -> bool:
+    total = wmax = 0
+    for c in codes:
+        w = c & wmask
+        total += w
+        if w > wmax:
+            wmax = w
+    return total == 0 or wmax > total - wmax
+
+
+def _merge_codes(codes, i: int, j: int, w: int, shift: int) -> tuple[int, ...]:
+    merged = (((codes[i] >> shift) | (codes[j] >> shift)) << shift) | w
+    rest = [c for t, c in enumerate(codes) if t != i and t != j]
+    rest.append(merged)
+    rest.sort()
+    return tuple(rest)
+
+
 class GameView:
-    """Cheap read-only snapshot of a state for strategy code: component
-    bitmasks and weights, no splits."""
+    """Cheap read-only snapshot of a packed state for strategy code:
+    component bitmasks and weights, no splits."""
 
-    __slots__ = ("graph", "masks", "weights", "vertex_comp", "total")
+    __slots__ = ("graph", "codes", "masks", "weights", "vertex_comp", "total")
 
-    def __init__(self, graph: Graph, masks, weights):
+    def __init__(self, graph: Graph, codes: tuple[int, ...]):
+        shift = graph.n.bit_length()
+        wmask = (1 << shift) - 1
         self.graph = graph
-        self.masks = tuple(masks)
-        self.weights = tuple(weights)
-        vc = [-1] * graph.n
-        for i, m in enumerate(self.masks):
-            mm = m
-            while mm:
-                v = (mm & -mm).bit_length() - 1
-                vc[v] = i
-                mm &= mm - 1
-        self.vertex_comp = tuple(vc)
+        self.codes = codes
+        self.masks = tuple(c >> shift for c in codes)
+        self.weights = tuple(c & wmask for c in codes)
+        self.vertex_comp = tuple(_vertex_comp(graph.n, codes))
         self.total = sum(self.weights)
 
     def comp_of(self, v: int) -> int:
@@ -110,33 +165,18 @@ class GameView:
 
     @staticmethod
     def from_state(state: QueryState) -> "GameView":
-        masks, ws = [], []
-        for comp in state.components:
-            m = 0
-            for v in comp.side_a + comp.side_b:
-                m |= 1 << v
-            masks.append(m)
-            ws.append(comp.weight)
-        return GameView(state.graph, masks, ws)
-
-
-def encode_state(state: QueryState) -> tuple[int, ...]:
-    codes = []
-    for comp in state.components:
-        m = 0
-        for v in comp.side_a + comp.side_b:
-            m |= 1 << v
-        codes.append((m << SHIFT) | comp.weight)
-    return tuple(sorted(codes))
+        return GameView(state.graph, encode_state(state))
 
 
 class GraphSolver:
     def __init__(self, graph: Graph, canonical: str = "auto", table_cap: int | None = None):
         check_solvable(graph)
-        if graph.n >= (1 << SHIFT):
-            raise ValueError(f"solver supports n < {1 << SHIFT}")
+        if graph.n >= MAX_SOLVER_N:
+            raise ValueError(f"solver supports n < {MAX_SOLVER_N}")
         self.graph = graph
         self.n = graph.n
+        self.shift = graph.n.bit_length()
+        self.wmask = (1 << self.shift) - 1
         self.edges = graph.sorted_edges
         if canonical == "path" and not is_path_in_order(graph):
             raise ValueError("path canonical mode requires the 0-1-...-(n-1) path")
@@ -149,59 +189,21 @@ class GraphSolver:
         self.table_cap = table_cap
         self.nodes = 0
 
-    # -- state plumbing ------------------------------------------------
-
-    def root_codes(self) -> tuple[int, ...]:
-        return tuple(sorted(((1 << v) << SHIFT) | 1 for v in range(self.n)))
-
-    def _mirror_mask(self, mask: int) -> int:
-        out, top = 0, self.n - 1
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            out |= 1 << (top - v)
-            mask &= mask - 1
-        return out
-
     def _key(self, codes: tuple[int, ...]) -> tuple[int, ...]:
         if self.canonical == "generic":
             return codes
-        mirrored = tuple(
-            sorted((self._mirror_mask(c >> SHIFT) << SHIFT) | (c & WMASK) for c in codes)
-        )
-        return codes if codes <= mirrored else mirrored
+        ws = tuple(c & self.wmask for c in codes)
+        return min(ws, ws[::-1])
 
-    @staticmethod
-    def _terminal(codes) -> bool:
-        total = wmax = 0
-        for c in codes:
-            w = c & WMASK
-            total += w
-            if w > wmax:
-                wmax = w
-        return total == 0 or wmax > total - wmax
-
-    def _cross_pairs(self, codes):
-        vc = [0] * self.n
-        for i, c in enumerate(codes):
-            m = c >> SHIFT
-            while m:
-                v = (m & -m).bit_length() - 1
-                vc[v] = i
-                m &= m - 1
-        pairs = set()
-        for u, v in self.edges:
-            a, b = vc[u], vc[v]
+    def _cross_pairs(self, codes) -> dict[tuple[int, int], Edge]:
+        """Each pair of components joined by an edge, with its smallest edge."""
+        vc = _vertex_comp(self.n, codes)
+        pairs: dict[tuple[int, int], Edge] = {}
+        for e in self.edges:
+            a, b = vc[e[0]], vc[e[1]]
             if a != b:
-                pairs.add((a, b) if a < b else (b, a))
+                pairs.setdefault((a, b) if a < b else (b, a), e)
         return pairs
-
-    @staticmethod
-    def _merge_codes(codes, i: int, j: int, w: int) -> tuple[int, ...]:
-        merged = (((codes[i] >> SHIFT) | (codes[j] >> SHIFT)) << SHIFT) | w
-        rest = [c for t, c in enumerate(codes) if t != i and t != j]
-        rest.append(merged)
-        rest.sort()
-        return tuple(rest)
 
     # -- search --------------------------------------------------------
 
@@ -210,11 +212,12 @@ class GraphSolver:
         hit = self.table.get(key)
         if hit is not None:
             return hit
-        if self._terminal(codes):
+        wmask, shift = self.wmask, self.shift
+        if _terminal(codes, wmask):
             self.table[key] = 0
             return 0
         self.nodes += 1
-        weights = [c & WMASK for c in codes]
+        weights = [c & wmask for c in codes]
         lb = _weighted_value(weights)
         moves = []
         for i, j in self._cross_pairs(codes):
@@ -232,8 +235,8 @@ class GraphSolver:
             if est >= best:  # ordered by est: no later move can improve
                 break
             wi, wj = weights[i], weights[j]
-            plus = self._merge_codes(codes, i, j, wi + wj)
-            minus = self._merge_codes(codes, i, j, abs(wi - wj))
+            plus = _merge_codes(codes, i, j, wi + wj, shift)
+            minus = _merge_codes(codes, i, j, abs(wi - wj), shift)
             first, second = (minus, plus) if lb_minus >= lb_plus else (plus, minus)
             v1 = self._value(first)
             if 1 + v1 >= best:
@@ -250,37 +253,24 @@ class GraphSolver:
 
     def solve(self) -> SolveResult:
         t0 = time.perf_counter()
-        value = self._value(self.root_codes())
+        value = self._value(root_codes(self.n))
         ms = (time.perf_counter() - t0) * 1000.0
         return SolveResult(value, self.nodes, ms, self.canonical, len(self.table))
 
     def best_query(self, state: QueryState) -> Edge:
         """Optimal move in a state; ties go to the smallest canonical edge."""
         codes = encode_state(state)
-        if self._terminal(codes):
+        if _terminal(codes, self.wmask):
             raise StrategyError("state is terminal; no query needed")
-        weights = [c & WMASK for c in codes]
-        pair_value: dict[tuple[int, int], int] = {}
-        for i, j in self._cross_pairs(codes):
+        weights = [c & self.wmask for c in codes]
+        pair_value: dict[Edge, int] = {}
+        for (i, j), edge in self._cross_pairs(codes).items():
             wi, wj = weights[i], weights[j]
-            plus = self._value(self._merge_codes(codes, i, j, wi + wj))
-            minus = self._value(self._merge_codes(codes, i, j, abs(wi - wj)))
-            pair_value[(i, j)] = 1 + max(plus, minus)
+            plus = self._value(_merge_codes(codes, i, j, wi + wj, self.shift))
+            minus = self._value(_merge_codes(codes, i, j, abs(wi - wj), self.shift))
+            pair_value[edge] = 1 + max(plus, minus)
         target = min(pair_value.values())
-        vc = [0] * self.n
-        for i, c in enumerate(codes):
-            m = c >> SHIFT
-            while m:
-                v = (m & -m).bit_length() - 1
-                vc[v] = i
-                m &= m - 1
-        for u, v in self.edges:
-            a, b = vc[u], vc[v]
-            if a == b:
-                continue
-            if pair_value[(a, b) if a < b else (b, a)] == target:
-                return (u, v)
-        raise StrategyError("no optimal edge found")  # pragma: no cover
+        return min(edge for edge, value in pair_value.items() if value == target)
 
 
 def solve_graph(graph: Graph, canonical: str = "auto", table_cap: int | None = None) -> SolveResult:
@@ -310,23 +300,67 @@ def answer_for_target(state: QueryState, edge: Edge, target: int) -> Answer:
     raise StrategyError(f"merge weight {target} unreachable for query {edge}")
 
 
+# -- games against a fixed adversary -------------------------------------
+
+
+class Game:
+    """A game in progress against an adversary: the split-level state, its
+    packed view and the moves so far."""
+
+    def __init__(self, graph: Graph, adversary):
+        self.adversary = adversary
+        self.state = initial_state(graph)
+        self.view = GameView(graph, root_codes(graph.n))
+        self.moves: list[tuple[Edge, Answer]] = []
+
+    def ask(self, u: int, v: int) -> Answer:
+        """Query the edge u-v: the adversary picks the merged weight, which
+        becomes SAME or DIFF and is applied."""
+        edge = normalize_edge(u, v)
+        graph = self.state.graph
+        if edge not in graph.edges:
+            raise IllegalQueryError(f"edge {edge} is not in the graph")
+        a, b = self.view.vertex_comp[u], self.view.vertex_comp[v]
+        if a == b:
+            raise IllegalQueryError(f"edge {edge} lies inside one q-component")
+        target = self.adversary.choose_merge(self.view, edge)
+        ans = answer_for_target(self.state, edge, target)
+        self.state = apply_query(self.state, edge, ans)
+        merged = _merge_codes(self.view.codes, a, b, target, graph.n.bit_length())
+        self.view = GameView(graph, merged)
+        self.moves.append((edge, ans))
+        return ans
+
+    def outcome(self) -> Outcome | None:
+        return terminal_outcome(self.state)
+
+    def transcript(self) -> Transcript:
+        return Transcript(self.state.graph, tuple(self.moves), self.outcome())
+
+
 def play(graph: Graph, querier, adversary) -> Transcript:
     """Run a full deterministic game; terminates because every query merges
     two components."""
-    state = initial_state(graph)
-    moves: list[tuple[Edge, Answer]] = []
-    outcome = terminal_outcome(state)
-    while outcome is None:
-        edge = normalize_edge(*querier(state))
-        view = GameView.from_state(state)
-        if view.comp_of(edge[0]) == view.comp_of(edge[1]):
-            raise IllegalQueryError(f"edge {edge} lies inside one q-component")
-        target = adversary.choose_merge(view, edge)
-        ans = answer_for_target(state, edge, target)
-        state = apply_query(state, edge, ans)
-        moves.append((edge, ans))
-        outcome = terminal_outcome(state)
-    return Transcript(graph, tuple(moves), outcome)
+    game = Game(graph, adversary)
+    while game.outcome() is None:
+        game.ask(*querier(game.state))
+    return game.transcript()
+
+
+def adversary_successors(view: GameView, adversary) -> list[tuple[int, ...]]:
+    """The packed state after each cross-component edge of the view's
+    graph, answered by the adversary."""
+    codes, vc, ws = view.codes, view.vertex_comp, view.weights
+    shift = view.graph.n.bit_length()
+    out = []
+    for u, v in view.graph.sorted_edges:
+        a, b = vc[u], vc[v]
+        if a != b:
+            target = adversary.choose_merge(view, (u, v))
+            if target != ws[a] + ws[b] and target != abs(ws[a] - ws[b]):
+                raise StrategyError(f"merge weight {target} unreachable for query {(u, v)}")
+            out.append(_merge_codes(codes, a, b, target, shift))
+    return out
 
 
 def forced_queries(graph: Graph, adversary) -> int:
@@ -337,28 +371,19 @@ def forced_queries(graph: Graph, adversary) -> int:
     """
     check_solvable(graph)
     memo: dict[tuple[int, ...], int] = {}
-    edges = graph.sorted_edges
+
+    wmask = (1 << graph.n.bit_length()) - 1
 
     def rec(codes: tuple[int, ...]) -> int:
-        if GraphSolver._terminal(codes):
+        if _terminal(codes, wmask):
             return 0
         hit = memo.get(codes)
         if hit is not None:
             return hit
-        masks = [c >> SHIFT for c in codes]
-        ws = [c & WMASK for c in codes]
-        view = GameView(graph, masks, ws)
         best = graph.n
-        for u, v in edges:
-            a, b = view.vertex_comp[u], view.vertex_comp[v]
-            if a == b:
-                continue
-            target = adversary.choose_merge(view, (u, v))
-            i, j = (a, b) if a < b else (b, a)
-            succ = GraphSolver._merge_codes(codes, i, j, target)
+        for succ in adversary_successors(GameView(graph, codes), adversary):
             best = min(best, 1 + rec(succ))
         memo[codes] = best
         return best
 
-    root = tuple(sorted(((1 << v) << SHIFT) | 1 for v in range(graph.n)))
-    return rec(root)
+    return rec(root_codes(graph.n))

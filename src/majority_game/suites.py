@@ -573,26 +573,19 @@ def criterion_10(seed: int = 0) -> list[CheckRecord]:
 
 
 SUITES = {
-    "paper-values": (criterion_1, criterion_2, criterion_3, criterion_4),
-    "properties": (criterion_5, criterion_6, criterion_10),
-    "adversaries": (criterion_7,),
-    "constructions": (criterion_8,),
-    "nondet": (criterion_9,),
+    "paper-values": lambda seed, full, threads: (
+        criterion_1() + criterion_2(full=full) + criterion_3(threads=threads) + criterion_4()
+    ),
+    "properties": lambda seed, full, threads: (
+        criterion_5(seed=seed) + criterion_6() + criterion_10(seed=seed)
+    ),
+    "adversaries": lambda seed, full, threads: criterion_7(seed=seed),
+    "constructions": lambda seed, full, threads: criterion_8(),
+    "nondet": lambda seed, full, threads: criterion_9(seed=seed),
 }
 
 
 def run_suite(name: str, seed: int = 0, full: bool = True, threads: int | None = None) -> list[CheckRecord]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    records: list[CheckRecord] = []
-    for fn in SUITES[name]:
-        kwargs = {}
-        code = fn.__code__.co_varnames[: fn.__code__.co_argcount]
-        if "seed" in code:
-            kwargs["seed"] = seed
-        if "full" in code:
-            kwargs["full"] = full
-        if "threads" in code:
-            kwargs["threads"] = threads
-        records.extend(fn(**kwargs))
-    return records
+    return SUITES[name](seed, full, threads)

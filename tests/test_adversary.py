@@ -5,7 +5,7 @@ import random
 import pytest
 
 from majority_game import adversary as adv
-from majority_game.core import Answer, apply_query, initial_state
+from majority_game.core import Answer, StrategyError, apply_query, initial_state
 from majority_game.generators import (
     complete_graph,
     free_trees,
@@ -13,7 +13,7 @@ from majority_game.generators import (
     random_tree,
     star_graph,
 )
-from majority_game.graphsolver import GameView, forced_queries, play
+from majority_game.graphsolver import Game, GameView, forced_queries, play
 from majority_game.weighted import solve_weighted
 
 
@@ -257,3 +257,43 @@ def test_exact_weighted_adversary_blocks_early_finishes():
     g = complete_graph(6)
     strat = adv.ExactWeightedAdversary()
     assert forced_queries(g, strat) == solve_weighted((1,) * 6)
+
+
+class _DisciplinedSame(adv.AlwaysSameAdversary):
+    """Always SAME under a zero drop cap: any weight the packed view loses
+    shows up as a playback violation."""
+
+    max_drop = 0
+    cover_mask = 0
+
+    def discipline_active(self, view) -> bool:
+        return True
+
+
+def test_playbacks_keep_weights_above_127():
+    g = path_graph(300)  # the last merges reach weight 151
+    game = Game(g, adv.AlwaysSameAdversary())
+    querier = adv.spanning_querier(g)
+    while game.outcome() is None:
+        game.ask(*querier(game.state))
+        assert game.view.codes == GameView.from_state(game.state).codes
+    assert max(game.view.weights) == 151
+    transcript = play(g, adv.spanning_querier(g), adv.AlwaysSameAdversary())
+    assert len(transcript) == 150
+    assert all(ans is Answer.SAME for _, ans in transcript.moves)
+    report = adv.covering_playback(g, _DisciplinedSame(), adv.spanning_querier(g))
+    assert report.violations == []
+    assert report.transcript_length == 150
+
+
+class _OutOfRangeAdversary:
+    def choose_merge(self, view, edge) -> int:
+        return view.graph.n + 1
+
+
+def test_unreachable_merge_weight_is_rejected():
+    g = path_graph(4)
+    with pytest.raises(StrategyError):
+        forced_queries(g, _OutOfRangeAdversary())
+    with pytest.raises(StrategyError):
+        Game(g, _OutOfRangeAdversary()).ask(0, 1)

@@ -34,6 +34,7 @@ def test_solve_graph_from_file(capsys, path6_file):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == 5 and payload["n"] == 6 and payload["m"] == 5
+    assert payload["canonical"] == "path" and payload["table_entries"] > 0
 
 
 def test_solve_graph_rejects_unsolvable(capsys, tmp_path):
@@ -117,9 +118,10 @@ def test_generate_free_trees_stream(capsys):
 def test_play_repl(capsys, monkeypatch, tmp_path):
     f = tmp_path / "p2.txt"
     f.write_text(path_graph(2).to_text())
-    monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n"))
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 5\n0 1\n"))
     code, out = run_cli(capsys, ["play", str(f)])
     assert code == 0
+    assert "rejected: edge (0, 5) is not in the graph" in out
     assert "QUERY 0 1" in out and "OUTCOME" in out
 
 

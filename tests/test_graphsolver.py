@@ -8,7 +8,9 @@ from majority_game.adversary import (
     AlwaysSameAdversary,
     ColoringAdversary,
     ExactWeightedAdversary,
+    OddpathAdversary,
     TreelemmaAdversary,
+    covering_playback,
     eventrees_coloring,
     spanning_querier,
 )
@@ -106,8 +108,9 @@ def test_two_component_odd_graph_is_solvable():
 
 
 def test_canonical_modes_agree():
-    g = path_graph(11)
-    assert solve_graph(g, canonical="path").value == solve_graph(g, canonical="generic").value
+    for n in range(2, 14):
+        g = path_graph(n)
+        assert solve_graph(g, canonical="path").value == solve_graph(g, canonical="generic").value
     with pytest.raises(ValueError):
         solve_graph(star_graph(5), canonical="path")
 
@@ -142,6 +145,8 @@ def test_oracle_agreement_with_weighted_game():
     (path_graph(4), 3),
     (complete_graph(4), 3),
     (build_minedge_graph(8).graph, 7),
+    (path_graph(7), 4),
+    (path_graph(9), 7),
 ])
 def test_optimal_querier_meets_value_on_every_answer_path(graph, budget):
     assert solve_graph(graph).value == budget
@@ -229,3 +234,8 @@ def test_play_propagates_querier_errors():
     with pytest.raises(IllegalQueryError):
         play(g, bad_querier, ExactWeightedAdversary())
     assert len(calls) == 2
+
+    p15 = path_graph(15)
+    with pytest.raises(IllegalQueryError):
+        covering_playback(p15, OddpathAdversary(p15), bad_querier)
+    assert len(calls) == 4
