@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import weighted
 from .core import BLUE, RED, GameError, Graph, QueryState, parse_coloring
-from .generators import is_path_in_order, is_tree
+from .generators import is_path_in_order, is_tree, rooted_order
 from .graphsolver import Game, GameView, adversary_successors, root_codes
 
 
@@ -217,19 +217,7 @@ def centroid_decomposition(tree: Graph, p: int) -> frozenset[int]:
     if n <= 1:
         return frozenset()
     adj = tree.adjacency
-    parent = [-1] * n
-    order = []
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                parent[y] = x
-                stack.append(y)
+    order, parent = rooted_order(tree)
     pending = [0] * n
     cut: set[int] = set()
     for x in reversed(order):
@@ -375,20 +363,7 @@ class Lefogo2Adversary:
             part_mask = (1 << n) - 1
             edges = tree.sorted_edges
             return 0, (HangingPart(part_mask, None, False, edges),)
-        parent = [-1] * n
-        order = []
-        root = next(iter(range(n)))
-        seen = [False] * n
-        seen[root] = True
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    parent[y] = x
-                    stack.append(y)
+        order, parent = rooted_order(tree)
         sub_u = [0] * n
         for x in reversed(order):
             sub_u[x] = (1 if x in cover else 0) + sum(
@@ -476,10 +451,7 @@ def random_querier(seed: int = 0):
     rng = random.Random(seed)
 
     def pick(state: QueryState):
-        comp_of = {}
-        for idx, comp in enumerate(state.components):
-            for x in comp.side_a + comp.side_b:
-                comp_of[x] = idx
+        comp_of = GameView.from_state(state).vertex_comp
         options = [e for e in state.graph.sorted_edges if comp_of[e[0]] != comp_of[e[1]]]
         return rng.choice(options)
 

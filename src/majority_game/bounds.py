@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from .weighted import (
     WeightVector,
     normalize,
+    signed_sum_counts,
     solve_weighted,
     strip_zeros,
+    weight_multisets,
     weighted_terminal,
 )
 
@@ -67,19 +70,6 @@ def two_adic_valuation(k: int):
     if k == 0:
         return MU_INFINITE
     return (k & -k).bit_length() - 1
-
-
-def signed_sum_counts(weights) -> dict[int, int]:
-    """Count, for every achievable signed sum, the number of sign vectors
-    producing it.  A zero weight doubles every count."""
-    counts = {0: 1}
-    for x in weights:
-        nxt: dict[int, int] = {}
-        for s, c in counts.items():
-            nxt[s + x] = nxt.get(s + x, 0) + c
-            nxt[s - x] = nxt.get(s - x, 0) + c
-        counts = nxt
-    return counts
 
 
 def count_balanced(weights) -> int:
@@ -286,6 +276,12 @@ def _o1g(w: WeightVector, certs: list[Certificate]) -> None:
         )
 
 
+def hard_level(w) -> int:
+    """The trivial upper bound on m(w) that a hard vector attains: k-1 for
+    an even total, k-2 for an odd total."""
+    return len(w) - 1 if sum(w) % 2 == 0 else len(w) - 2
+
+
 def _base_hard_certificate(w: WeightVector) -> Certificate | None:
     """A certificate proving the zero-free vector w is hard, if one of the
     equality-grade lemma hypotheses holds."""
@@ -293,10 +289,9 @@ def _base_hard_certificate(w: WeightVector) -> Certificate | None:
     _suly1(w, certs)
     _suly1forma(w, certs)
     _suly2(w, certs)
-    total = sum(w)
-    hard_level = len(w) - 1 if total % 2 == 0 else len(w) - 2
+    level = hard_level(w)
     for c in certs:
-        if c.bound == hard_level:
+        if c.bound == level:
             return c
     return None
 
@@ -309,18 +304,17 @@ def _obs_reduction(w: WeightVector, certs: list[Certificate], max_states: int = 
     start = tuple(sorted(w, reverse=True))
     if not start:
         return
-    total = sum(start)
-    hard_level = len(start) - 1 if total % 2 == 0 else len(start) - 2
-    frontier = [(start, [])]
+    level = hard_level(start)
+    frontier = deque([(start, [])])
     seen = {start}
     while frontier and len(seen) < max_states:
-        vec, chain = frontier.pop(0)
+        vec, chain = frontier.popleft()
         if chain:  # the unsplit vector is covered by the direct lemma checks
             base = _base_hard_certificate(vec)
             if base is not None:
                 certs.append(
                     Certificate(
-                        hard_level,
+                        level,
                         CertificateSource.OBS_REDUCTION,
                         {"chain": [list(v) for v in chain + [vec]], "base": base.source.value},
                     )
@@ -360,25 +354,16 @@ def certify_lower_bound(weights) -> list[Certificate]:
 
 
 def is_hard(weights) -> bool:
-    """A vector is hard when it attains the trivial upper bound: k-1 for an
-    even total, k-2 for an odd total."""
+    """A vector is hard when it attains the trivial upper bound."""
     w = normalize(weights)
     if not w:
         raise ValueError("hardness needs at least one ball")
-    m = solve_weighted(w)
-    total = sum(w)
-    return m == (len(w) - 1 if total % 2 == 0 else len(w) - 2)
+    return solve_weighted(w) == hard_level(w)
 
 
 def hardness_upper_bound(weights) -> int:
     """Trivial upper bound m(w) <= k-1, improved to k-2 for odd totals."""
-    w = normalize(weights)
-    k = len(w)
-    if k == 0:
-        return 0
-    if sum(w) % 2 == 1 and k >= 2:
-        return k - 2
-    return max(0, k - 1)
+    return max(0, hard_level(normalize(weights)))
 
 
 def search_obs_reverse_counterexample(max_total: int = 14, allow_terminal: bool = True):
@@ -388,22 +373,15 @@ def search_obs_reverse_counterexample(max_total: int = 14, allow_terminal: bool 
     hard for odd totals; pass allow_terminal=False to skip those degenerate
     witnesses.  The toolkit takes no position on the open question; this is
     evidence-gathering only."""
-    from itertools import combinations_with_replacement
-
-    for total in range(2, max_total + 1):
-        for k in range(2, total + 1):
-            for combo in combinations_with_replacement(range(1, total + 1), k):
-                if sum(combo) != total:
-                    continue
-                w = tuple(sorted(combo, reverse=True))
-                for a in set(w):
-                    if w.count(a) < 2:
-                        continue
-                    merged = tuple(
-                        sorted(list(w[: w.index(a)] + w[w.index(a) + 2:]) + [2 * a], reverse=True)
-                    )
-                    if not allow_terminal and weighted_terminal(strip_zeros(merged)) is not None:
-                        continue
-                    if is_hard(merged) and not is_hard(w):
-                        return w, merged
+    for w in weight_multisets(max_total):
+        for a in set(w):
+            if w.count(a) < 2:
+                continue
+            merged = tuple(
+                sorted(list(w[: w.index(a)] + w[w.index(a) + 2:]) + [2 * a], reverse=True)
+            )
+            if not allow_terminal and weighted_terminal(strip_zeros(merged)) is not None:
+                continue
+            if is_hard(merged) and not is_hard(w):
+                return w, merged
     return None

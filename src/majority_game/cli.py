@@ -16,7 +16,7 @@ from pathlib import Path
 from . import adversary as adv
 from . import bounds, constructions, generators, nondet, suites, weighted
 from .bounds import popcount
-from .core import Graph, UnsolvableGraphError, component_weights
+from .core import GameError, Graph, component_weights
 from .graphsolver import Game, forced_queries, play, solve_graph
 
 
@@ -47,11 +47,7 @@ def _cmd_solve_weighted(args) -> int:
 
 def _cmd_solve_graph(args) -> int:
     graph = _load_graph(args.graph)
-    try:
-        res = solve_graph(graph, canonical=args.canonical, table_cap=args.table_cap)
-    except UnsolvableGraphError as exc:
-        _emit({"error": str(exc)}, args.json, f"unsolvable: {exc}")
-        return 2
+    res = solve_graph(graph, canonical=args.canonical, table_cap=args.table_cap)
     payload = {
         "n": graph.n,
         "m": len(graph.edges),
@@ -381,7 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except GameError as exc:  # typed errors end the command, not the interpreter
+        _emit({"error": str(exc)}, getattr(args, "json", False), f"error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

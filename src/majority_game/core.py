@@ -36,6 +36,10 @@ class StrategyError(GameError):
     pass
 
 
+class InputError(GameError, ValueError):
+    """Malformed or out-of-range input from outside the program."""
+
+
 class Answer(enum.Enum):
     SAME = "SAME"
     DIFF = "DIFF"
@@ -60,9 +64,9 @@ class Graph:
         norm = set()
         for u, v in edges:
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise InputError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+                raise InputError(f"edge ({u},{v}) out of range for n={n}")
             norm.add(normalize_edge(u, v))
         return Graph(n, frozenset(norm))
 
@@ -114,13 +118,14 @@ class Graph:
     def from_text(text: str) -> "Graph":
         tokens = text.split()
         if len(tokens) < 2:
-            raise ValueError("graph text needs a header line 'n m'")
-        n, m = int(tokens[0]), int(tokens[1])
-        vals = tokens[2:]
+            raise InputError("graph text needs a header line 'n m'")
+        bad = next((t for t in tokens if not (t.isascii() and t.isdigit())), None)
+        if bad is not None:
+            raise InputError(f"graph text: {bad!r} is not a non-negative integer")
+        n, m, *vals = (int(t) for t in tokens)
         if len(vals) != 2 * m:
-            raise ValueError(f"expected {m} edges, found {len(vals) // 2}")
-        edges = [(int(vals[2 * i]), int(vals[2 * i + 1])) for i in range(m)]
-        return Graph.from_edges(n, edges)
+            raise InputError(f"expected {m} edges, found {len(vals) // 2}")
+        return Graph.from_edges(n, zip(vals[::2], vals[1::2]))
 
 
 def parse_coloring(text: str, n: int | None = None) -> str:

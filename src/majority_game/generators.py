@@ -104,17 +104,16 @@ def _graph_from_levels(levels: list[int]) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _centroids(graph: Graph) -> list[int]:
-    n = graph.n
-    if n == 1:
-        return [0]
+def rooted_order(graph: Graph) -> tuple[list[int], list[int]]:
+    """Depth-first preorder of the vertices reachable from vertex 0, and
+    each vertex's parent in that search (-1 for the root and unreached
+    vertices)."""
     adj = graph.adjacency
-    size = [1] * n
-    order = []
-    parent = [-1] * n
-    stack = [0]
-    seen = [False] * n
+    parent = [-1] * graph.n
+    seen = [False] * graph.n
     seen[0] = True
+    order = []
+    stack = [0]
     while stack:
         x = stack.pop()
         order.append(x)
@@ -123,6 +122,16 @@ def _centroids(graph: Graph) -> list[int]:
                 seen[y] = True
                 parent[y] = x
                 stack.append(y)
+    return order, parent
+
+
+def _centroids(graph: Graph) -> list[int]:
+    n = graph.n
+    if n == 1:
+        return [0]
+    adj = graph.adjacency
+    size = [1] * n
+    order, parent = rooted_order(graph)
     for x in reversed(order):
         if parent[x] >= 0:
             size[parent[x]] += size[x]

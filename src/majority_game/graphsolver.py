@@ -34,6 +34,7 @@ from .core import (
     Edge,
     Graph,
     IllegalQueryError,
+    InputError,
     Outcome,
     QueryState,
     StrategyError,
@@ -172,14 +173,14 @@ class GraphSolver:
     def __init__(self, graph: Graph, canonical: str = "auto", table_cap: int | None = None):
         check_solvable(graph)
         if graph.n >= MAX_SOLVER_N:
-            raise ValueError(f"solver supports n < {MAX_SOLVER_N}")
+            raise InputError(f"solver supports n < {MAX_SOLVER_N}, got n = {graph.n}")
         self.graph = graph
         self.n = graph.n
         self.shift = graph.n.bit_length()
         self.wmask = (1 << self.shift) - 1
         self.edges = graph.sorted_edges
         if canonical == "path" and not is_path_in_order(graph):
-            raise ValueError("path canonical mode requires the 0-1-...-(n-1) path")
+            raise InputError("path canonical mode requires the 0-1-...-(n-1) path")
         if canonical == "auto":
             canonical = "path" if is_path_in_order(graph) else "generic"
         if canonical not in ("path", "generic"):
@@ -214,8 +215,7 @@ class GraphSolver:
             return hit
         wmask, shift = self.wmask, self.shift
         if _terminal(codes, wmask):
-            self.table[key] = 0
-            return 0
+            return self._store(key, 0)
         self.nodes += 1
         weights = [c & wmask for c in codes]
         lb = _weighted_value(weights)
@@ -247,9 +247,13 @@ class GraphSolver:
                 best = mv
                 if best <= lb:
                     break
+        return self._store(key, best)
+
+    def _store(self, key: tuple[int, ...], value: int) -> int:
+        """Table a value unless the table is at its cap."""
         if self.table_cap is None or len(self.table) < self.table_cap:
-            self.table[key] = best
-        return best
+            self.table[key] = value
+        return value
 
     def solve(self) -> SolveResult:
         t0 = time.perf_counter()

@@ -13,7 +13,6 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from . import adversary as adv
 from . import bounds, constructions, generators, nondet, weighted
@@ -37,17 +36,6 @@ class CheckRecord:
 
 def _rec(suite, name, ok, detail, repro) -> CheckRecord:
     return CheckRecord(suite, name, bool(ok), detail, repro)
-
-
-def _partitions_up_to(total: int):
-    """All positive-weight multisets with sum <= total (sorted descending)."""
-    out = []
-    for s in range(0, total + 1):
-        for k in range(1, s + 1):
-            for combo in combinations_with_replacement(range(1, s + 1), k):
-                if sum(combo) == s:
-                    out.append(tuple(sorted(combo, reverse=True)))
-    return out
 
 
 def _tree_value(edges: tuple, n: int) -> int:
@@ -263,7 +251,7 @@ def _relevant_count(w) -> int:
 
 
 def criterion_6() -> list[CheckRecord]:
-    vectors = _partitions_up_to(12)
+    vectors = weighted.weight_multisets(12)
     vectors += [v + (0,) for v in vectors[:200]]
     failures: dict[str, list] = {"equiv": [], "threshold": [], "survival": [], "drop": [], "pair": []}
     for w in vectors:
@@ -552,7 +540,7 @@ def criterion_10(seed: int = 0) -> list[CheckRecord]:
         )
     ]
     bad_scale, bad_zero = [], []
-    for w in _partitions_up_to(12):
+    for w in weighted.weight_multisets(12):
         m = weighted.solve_weighted(w)
         if weighted.solve_weighted(w + (0,)) != m:
             bad_zero.append(w)

@@ -1,11 +1,14 @@
-"""Exact solver for the weighted majority game, plus relevance analysis.
+"""Exact solver for the weighted majority game, signed-sum counts and
+relevance analysis.
 
 Balls carry non-negative integer weights.  A query compares two balls and
 merges them into one of weight w_i + w_j (SAME) or |w_i - w_j| (DIFF); the
 adversary picks the answer.  The game ends when either all weights are zero
 (no majority) or one ball outweighs all others combined (that ball's color
 class is the majority).  `solve_weighted` computes the exact worst-case
-query count by memoized minimax over weight multisets.
+query count by memoized minimax over weight multisets.  `signed_sum_counts`
+is the one signed-sum counter: relevance here and every counting bound in
+`bounds` read it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,19 @@ def normalize(weights) -> WeightVector:
 
 def strip_zeros(w: WeightVector) -> WeightVector:
     return tuple(x for x in w if x > 0)
+
+
+def weight_multisets(max_total: int) -> list[WeightVector]:
+    """Every multiset of positive weights with sum <= max_total, each a
+    descending tuple, ordered by sum, then size, then ascending tuple."""
+
+    def below(room: int, top: int):
+        for x in range(1, min(room, top) + 1):
+            yield (x,)
+            for tail in below(room - x, x):
+                yield (x,) + tail
+
+    return sorted(below(max_total, max_total), key=lambda w: (sum(w), len(w), w[::-1]))
 
 
 @dataclass(frozen=True)
@@ -134,14 +150,29 @@ def adversarial_merge_weight(w, a: int, b: int) -> int:
     return a + b
 
 
-def _reachable_signed_sums(weights) -> int:
-    """Bitset of achievable signed sums of `weights`, offset by their total."""
-    total = sum(weights)
-    bits = 1 << total
-    for x in weights:
-        if x:
-            bits = (bits << x) | (bits >> x)
-    return bits
+def signed_sum_counts(weights) -> dict[int, int]:
+    """Count, for every achievable signed sum, the number of sign vectors
+    producing it.  A zero weight doubles every count.
+
+    The counts are the coefficients of the product of (1 + X^w) over the
+    weights: the coefficient of X^j counts the sign vectors whose plus
+    balls weigh j, that is, whose signed sum is 2j - total.  The product is
+    held in one integer at X = 2^(k+1); a count never exceeds 2^k, so no
+    (k+1)-bit field carries into the next.
+    """
+    w = tuple(weights)
+    width = len(w) + 1
+    poly = 1
+    for x in w:
+        poly += poly << (x * width)
+    total = sum(w)
+    mask = (1 << width) - 1
+    counts: dict[int, int] = {}
+    for j in range(total + 1):
+        c = (poly >> (j * width)) & mask
+        if c:
+            counts[2 * j - total] = c
+    return counts
 
 
 def relevant(weights, i: int) -> bool:
@@ -150,15 +181,7 @@ def relevant(weights, i: int) -> bool:
     signed sum S with |S| <= v."""
     w = tuple(weights)
     v = w[i]
-    if v == 0:
-        return False
-    others = w[:i] + w[i + 1:]
-    total = sum(others)
-    if total <= v:
-        return True
-    bits = _reachable_signed_sums(others)
-    window = ((1 << (2 * v + 1)) - 1) << (total - v)
-    return bits & window != 0
+    return v > 0 and any(abs(s) <= v for s in signed_sum_counts(w[:i] + w[i + 1:]))
 
 
 def relevant_indices(weights) -> tuple[int, ...]:

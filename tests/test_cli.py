@@ -45,6 +45,22 @@ def test_solve_graph_rejects_unsolvable(capsys, tmp_path):
     assert "error" in json.loads(out)
 
 
+def test_solve_graph_rejects_malformed_text(capsys, tmp_path):
+    f = tmp_path / "bad.txt"
+    f.write_text("3 1\n0 x\n")
+    code, out = run_cli(capsys, ["solve-graph", str(f), "--json"])
+    assert code == 2
+    assert "'x'" in json.loads(out)["error"]
+
+
+def test_solve_graph_rejects_oversized_graph(capsys, tmp_path):
+    f = tmp_path / "p130.txt"
+    f.write_text(path_graph(130).to_text())
+    code, out = run_cli(capsys, ["solve-graph", str(f)])
+    assert code == 2
+    assert out.startswith("error: ") and "n < 128" in out and len(out.splitlines()) == 1
+
+
 def test_certify_is_sound_and_deterministic(capsys):
     code1, out1 = run_cli(capsys, ["certify", "3,3,7,8,9", "--check"])
     code2, out2 = run_cli(capsys, ["certify", "3,3,7,8,9", "--check"])

@@ -117,7 +117,9 @@ def test_canonical_modes_agree():
 
 def test_table_cap_keeps_value_exact():
     g = path_graph(10)
-    assert solve_graph(g, table_cap=50).value == solve_graph(g).value
+    capped = solve_graph(g, table_cap=50)
+    assert capped.value == solve_graph(g).value
+    assert capped.table_entries <= 50
 
 
 def test_window_bounds_on_random_graphs():

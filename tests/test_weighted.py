@@ -1,6 +1,7 @@
 """Weighted-game solver against an independent brute-force oracle."""
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -14,7 +15,9 @@ from majority_game.weighted import (
     relevance_threshold,
     relevant,
     relevant_indices,
+    signed_sum_counts,
     solve_weighted,
+    weight_multisets,
     weighted_terminal,
 )
 
@@ -97,6 +100,23 @@ def test_relevance_by_enumeration():
     for w in all_vectors(9):
         for i in range(len(w)):
             assert relevant(w, i) == brute(w, i), (w, i)
+
+
+def test_weight_multisets_in_filter_order():
+    assert weight_multisets(10) == list(all_vectors(10))
+    assert weight_multisets(0) == []
+
+
+def test_signed_sum_counts_by_enumeration():
+    # up to two zero balls; on the all-zero vectors one count reaches 2^k
+    for base in [()] + list(all_vectors(10)):
+        for zeros in range(3):
+            w = base + (0,) * zeros
+            sums = Counter(
+                sum(s * x for s, x in zip(signs, w))
+                for signs in itertools.product((1, -1), repeat=len(w))
+            )
+            assert signed_sum_counts(w) == dict(sums), w
 
 
 def test_relevance_threshold_examples():
