@@ -16,7 +16,7 @@ from pathlib import Path
 from . import adversary as adv
 from . import bounds, constructions, generators, nondet, suites, weighted
 from .bounds import popcount
-from .core import GameError, Graph, component_weights
+from .core import Graph, InputError, UnsolvableGraphError, component_weights
 from .graphsolver import Game, forced_queries, play, solve_graph
 
 
@@ -379,7 +379,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except GameError as exc:  # typed errors end the command, not the interpreter
+    except (InputError, UnsolvableGraphError) as exc:  # bad input, not a program fault
         _emit({"error": str(exc)}, getattr(args, "json", False), f"error: {exc}")
         return 2
 

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from majority_game import cli
 from majority_game.cli import main
+from majority_game.core import StrategyError
 from majority_game.generators import path_graph
 
 
@@ -59,6 +61,16 @@ def test_solve_graph_rejects_oversized_graph(capsys, tmp_path):
     code, out = run_cli(capsys, ["solve-graph", str(f)])
     assert code == 2
     assert out.startswith("error: ") and "n < 128" in out and len(out.splitlines()) == 1
+
+
+def test_program_fault_keeps_its_traceback(monkeypatch, path6_file):
+    # a fault in the program's own adversaries is not reported as bad input
+    def fault(args):
+        raise StrategyError("adversary fault")
+
+    monkeypatch.setattr(cli, "_cmd_solve_graph", fault)
+    with pytest.raises(StrategyError):
+        main(["solve-graph", path6_file])
 
 
 def test_certify_is_sound_and_deterministic(capsys):

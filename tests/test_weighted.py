@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from majority_game.bounds import popcount
+from majority_game.bounds import count_balanced, popcount
 from majority_game.weighted import (
     adversarial_merge_weight,
     optimal_query,
@@ -117,6 +117,20 @@ def test_signed_sum_counts_by_enumeration():
                 for signs in itertools.product((1, -1), repeat=len(w))
             )
             assert signed_sum_counts(w) == dict(sums), w
+
+
+def test_signed_sum_counts_on_huge_weights_and_wide_fields():
+    # a few huge weights: 2^k sign vectors, whatever the total
+    assert signed_sum_counts((10**9, 10**9 - 1, 3)) == {
+        s: 1 for s in (-2 * 10**9 + 4, -2 * 10**9 - 2, -4, 2, -2, 4, 2 * 10**9 + 2, 2 * 10**9 - 4)
+    }
+    assert count_balanced((10**6, 10**6 - 3, 3)) == 2
+    assert count_balanced((10**6, 10**6 - 1, 3)) == 0
+    assert relevant((10**6, 3, 1), 0) and not relevant((10**6, 3, 1), 1)
+    # counts that fill a one-byte field (2^7) and need a second byte (2^8)
+    assert signed_sum_counts((0,) * 7) == {0: 128}
+    assert signed_sum_counts((0,) * 8) == {0: 256}
+    assert signed_sum_counts((1,) * 8 + (0,) * 8)[0] == 70 * 256
 
 
 def test_relevance_threshold_examples():
