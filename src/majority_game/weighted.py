@@ -14,7 +14,7 @@ is the one signed-sum counter: relevance here and every counting bound in
 from __future__ import annotations
 
 import math
-from collections import Counter
+import sys
 from dataclasses import dataclass
 
 WeightVector = tuple[int, ...]
@@ -159,36 +159,29 @@ def signed_sum_counts(weights) -> dict[int, int]:
     The counts are the coefficients of the product of (1 + X^w) over the
     weights: the coefficient of X^j counts the sign vectors whose plus
     balls weigh j, that is, whose signed sum is 2j - total.  At most
-    `subsets` exponents occur, one per sub-multiset of the weights.  When
+    `subsets` exponents occur, one per sub-multiset of the weights.  While
     the total is below that, the product is held in one integer at
-    X = 2^(8b), b bytes per field with 8b > k: a count never exceeds 2^k,
-    so no field carries into the next, and the total + 1 fields are read
-    off in one pass.  Otherwise most exponents are unused, and the product
-    keeps only its nonzero terms, as a dict keyed by signed sum.  Either
-    way time and memory grow with `subsets` (at most 2^k), never with the
-    size of the weights.
+    X = 2^64 and its total + 1 fields are read off as machine words: a
+    count never exceeds 2^k, so for k < 64 no field carries into the next.
+    Otherwise the product keeps only its nonzero terms, as a dict keyed by
+    signed sum.  Either way time and memory grow with `subsets` (at most
+    2^k), never with the size of the weights.
     """
     w = tuple(weights)
     total = sum(w)
-    subsets = math.prod(m + 1 for m in Counter(w).values())
-    if total >= subsets:
-        counts = {-total: 1}
+    subsets = math.prod(w.count(x) + 1 for x in set(w))
+    if len(w) < 64 and total < subsets:
+        poly = 1
         for x in w:
-            nxt = dict(counts)
-            for s, c in counts.items():
-                nxt[s + 2 * x] = nxt.get(s + 2 * x, 0) + c
-            counts = nxt
-        return counts
-    b = len(w) // 8 + 1
-    poly = 1
+            poly += poly << (64 * x)
+        fields = memoryview(poly.to_bytes(8 * (total + 1), sys.byteorder)).cast("Q")
+        return {2 * j - total: c for j, c in enumerate(fields) if c}
+    counts = {-total: 1}
     for x in w:
-        poly += poly << (8 * b * x)
-    data = poly.to_bytes(b * (total + 1), "little")
-    counts = {}
-    for j in range(total + 1):
-        c = int.from_bytes(data[b * j:b * j + b], "little")
-        if c:
-            counts[2 * j - total] = c
+        nxt = dict(counts)
+        for s, c in counts.items():
+            nxt[s + 2 * x] = nxt.get(s + 2 * x, 0) + c
+        counts = nxt
     return counts
 
 

@@ -1,6 +1,7 @@
 """Weighted-game solver against an independent brute-force oracle."""
 
 import itertools
+import math
 from collections import Counter
 from functools import lru_cache
 
@@ -127,10 +128,11 @@ def test_signed_sum_counts_on_huge_weights_and_wide_fields():
     assert count_balanced((10**6, 10**6 - 3, 3)) == 2
     assert count_balanced((10**6, 10**6 - 1, 3)) == 0
     assert relevant((10**6, 3, 1), 0) and not relevant((10**6, 3, 1), 1)
-    # counts that fill a one-byte field (2^7) and need a second byte (2^8)
-    assert signed_sum_counts((0,) * 7) == {0: 128}
-    assert signed_sum_counts((0,) * 8) == {0: 256}
-    assert signed_sum_counts((1,) * 8 + (0,) * 8)[0] == 70 * 256
+    # a count of 2^63 fills a 64-bit word; 2^64 and up are kept as dict terms
+    assert signed_sum_counts((0,) * 63) == {0: 2**63}
+    assert signed_sum_counts((0,) * 64) == {0: 2**64}
+    assert signed_sum_counts((1,) * 62 + (0,)) == {2 * j - 62: 2 * math.comb(62, j) for j in range(63)}
+    assert signed_sum_counts((1,) * 64) == {2 * j - 64: math.comb(64, j) for j in range(65)}
 
 
 def test_relevance_threshold_examples():
