@@ -7,7 +7,7 @@ m_nd(P_n), and the savings n - m_nd(P_n) (which grows like sqrt(n)).
 Usage: python3 scripts/odd_path_table.py [max_n]   (default 13)
 """
 
-import sys
+import argparse
 import time
 
 from majority_game.generators import path_graph
@@ -16,7 +16,9 @@ from majority_game.nondet import m_nd
 
 
 def main() -> int:
-    max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 13
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("max_n", type=int, nargs="?", default=13, help="largest n (default 13)")
+    max_n = parser.parse_args().max_n
     print("n\tm\tm_nd\tn-m_nd\tseconds")
     for n in range(3, max_n + 1, 2):
         t0 = time.time()

@@ -140,13 +140,19 @@ def eventrees_coloring(tree: Graph) -> str:
     return "".join(colors)
 
 
-def _delta(graph: Graph, mask: int) -> int:
-    """Parity of the number of graph edges leaving the vertex set."""
-    cnt = 0
-    for u, v in graph.sorted_edges:
-        if ((mask >> u) & 1) != ((mask >> v) & 1):
-            cnt += 1
-    return cnt & 1
+def _odd_degree_mask(edges) -> int:
+    """The vertices of odd degree in an edge list, as a bitmask."""
+    m = 0
+    for u, v in edges:
+        m ^= (1 << u) ^ (1 << v)
+    return m
+
+
+def _boundary_parity(mask: int, odd_degree_mask: int) -> int:
+    """Parity of the number of edges leaving the vertex set ``mask``.  Its
+    degree sum counts every inner edge twice and every leaving edge once,
+    so the parity is that of its odd-degree vertices."""
+    return (mask & odd_degree_mask).bit_count() & 1
 
 
 def _treelemma_target(sx: int, sy: int, wx: int, wy: int, delta_union: int, full: bool) -> int:
@@ -170,6 +176,7 @@ class TreelemmaAdversary:
     def __init__(self, graph: Graph):
         self.graph = graph
         self.full_mask = (1 << graph.n) - 1
+        self.odd_degree_mask = _odd_degree_mask(graph.edges)
 
     def choose_merge(self, view: GameView, edge) -> int:
         u, v = edge
@@ -180,7 +187,7 @@ class TreelemmaAdversary:
             view.size(j),
             view.weights[i],
             view.weights[j],
-            _delta(self.graph, union),
+            _boundary_parity(union, self.odd_degree_mask),
             union == self.full_mask,
         )
 
@@ -188,6 +195,7 @@ class TreelemmaAdversary:
 def check_treelemma_conditions(graph: Graph, view: GameView) -> list[str]:
     """Violations of the weight-discipline conditions on proper components."""
     full = (1 << graph.n) - 1
+    odd = _odd_degree_mask(graph.edges)
     out = []
     for i, mask in enumerate(view.masks):
         if mask == full:
@@ -197,7 +205,7 @@ def check_treelemma_conditions(graph: Graph, view: GameView) -> list[str]:
             out.append(f"component {i}: weight {w} outside [0, 2]")
         if size % 2 == 1 and w != 1:
             out.append(f"component {i}: odd size {size} but weight {w}")
-        if size % 2 == 0 and w != 2 * _delta(graph, mask):
+        if size % 2 == 0 and w != 2 * _boundary_parity(mask, odd):
             out.append(f"component {i}: even size {size}, weight {w} != 2*delta")
     return out
 
@@ -331,7 +339,7 @@ class HangingPart:
     mask: int
     root: int | None
     augmented: bool
-    edges: tuple[tuple[int, int], ...]
+    odd_degree_mask: int  # in the part's edges and the imaginary pendant
 
 
 class Lefogo2Adversary:
@@ -359,10 +367,6 @@ class Lefogo2Adversary:
         tree, cover = self.graph, self.cover
         n = tree.n
         adj = tree.adjacency
-        if not cover:
-            part_mask = (1 << n) - 1
-            edges = tree.sorted_edges
-            return 0, (HangingPart(part_mask, None, False, edges),)
         order, parent = rooted_order(tree)
         sub_u = [0] * n
         for x in reversed(order):
@@ -397,22 +401,15 @@ class Lefogo2Adversary:
                         stack.append(y)
             boundary = sorted(x for x in comp if any(y in blocked for y in adj[x]))
             part_root = boundary[0] if boundary else None
-            edges = tuple(e for e in tree.sorted_edges if e[0] in comp and e[1] in comp)
-            parts.append(
-                HangingPart(_mask_of(comp), part_root, len(comp) % 2 == 0, edges)
-            )
+            augmented = len(comp) % 2 == 0
+            odd = _odd_degree_mask(e for e in tree.edges if e[0] in comp and e[1] in comp)
+            if augmented:
+                odd ^= 1 << part_root  # the imaginary pendant vertex hangs there
+            parts.append(HangingPart(_mask_of(comp), part_root, augmented, odd))
         return _mask_of(connecting), tuple(parts)
 
     def discipline_active(self, view: GameView) -> bool:
         return view.total > self.switch_total
-
-    def _part_delta(self, part: HangingPart, mask: int) -> int:
-        cnt = sum(
-            1 for a, b in part.edges if ((mask >> a) & 1) != ((mask >> b) & 1)
-        )
-        if part.augmented and (mask >> part.root) & 1:
-            cnt += 1  # the imaginary pendant vertex is never inside mask
-        return cnt & 1
 
     def choose_merge(self, view: GameView, edge) -> int:
         if not self.discipline_active(view):
@@ -437,7 +434,7 @@ class Lefogo2Adversary:
                     view.size(j),
                     wi,
                     wj,
-                    self._part_delta(part, union),
+                    _boundary_parity(union, part.odd_degree_mask),
                     False,  # the augmented pendant keeps every subset proper
                 )
         s, d = _merge_candidates(wi, wj)

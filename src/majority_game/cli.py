@@ -26,7 +26,13 @@ def _load_graph(path: str) -> Graph:
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip() != "")
+    out = []
+    for token in filter(None, (t.strip() for t in text.split(","))):
+        try:
+            out.append(int(token))
+        except ValueError:
+            raise InputError(f"{token!r} in {text!r} is not an integer") from None
+    return tuple(out)
 
 
 def _emit(payload, as_json: bool, human: str | None = None) -> None:

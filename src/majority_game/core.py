@@ -131,9 +131,9 @@ class Graph:
 def parse_coloring(text: str, n: int | None = None) -> str:
     c = text.strip().upper()
     if n is not None and len(c) != n:
-        raise ValueError(f"coloring has length {len(c)}, expected {n}")
+        raise InputError(f"coloring has length {len(c)}, expected {n}")
     if set(c) - {RED, BLUE}:
-        raise ValueError("coloring must use only characters R and B")
+        raise InputError(f"coloring {text!r} must use only characters R and B")
     return c
 
 

@@ -50,7 +50,7 @@ MAX_SOLVER_N = 128  # the minimax is out of reach far below this
 
 
 def _weighted_value(ws) -> int:
-    return weighted._solve(tuple(sorted((x for x in ws if x > 0), reverse=True)))
+    return weighted._solve(tuple(sorted(filter(None, ws), reverse=True)))  # zeros dropped
 
 
 def check_solvable(graph: Graph) -> None:
@@ -135,11 +135,13 @@ def _terminal(codes, wmask: int) -> bool:
 
 
 def _merge_codes(codes, i: int, j: int, w: int, shift: int) -> tuple[int, ...]:
-    merged = (((codes[i] >> shift) | (codes[j] >> shift)) << shift) | w
-    rest = [c for t, c in enumerate(codes) if t != i and t != j]
-    rest.append(merged)
-    rest.sort()
-    return tuple(rest)
+    """Merge components i and j (either order) into one of weight w.  The
+    codes are sorted by their disjoint masks, so by highest bit: the merged
+    code takes the place of the larger of the two and the order holds."""
+    if i > j:
+        i, j = j, i
+    merged = ((codes[i] | codes[j]) >> shift << shift) | w
+    return (*codes[:i], *codes[i + 1 : j], merged, *codes[j + 1 :])
 
 
 class GameView:
@@ -162,7 +164,7 @@ class GameView:
         return self.vertex_comp[v]
 
     def size(self, i: int) -> int:
-        return bin(self.masks[i]).count("1")
+        return self.masks[i].bit_count()
 
     @staticmethod
     def from_state(state: QueryState) -> "GameView":
@@ -184,7 +186,7 @@ class GraphSolver:
         if canonical == "auto":
             canonical = "path" if is_path_in_order(graph) else "generic"
         if canonical not in ("path", "generic"):
-            raise ValueError(f"unknown canonical mode: {canonical}")
+            raise InputError(f"unknown canonical mode: {canonical}")
         self.canonical = canonical
         self.table: dict[tuple[int, ...], int] = {}
         self.table_cap = table_cap
@@ -219,29 +221,34 @@ class GraphSolver:
         self.nodes += 1
         weights = [c & wmask for c in codes]
         lb = _weighted_value(weights)
+        # a move's bounds depend only on the weight multiset, so the moves
+        # on one weight pair, keyed by (sum, difference), share them
+        by_pair: dict[tuple[int, int], tuple[int, int, int]] = {}
         moves = []
         for i, j in self._cross_pairs(codes):
             wi, wj = weights[i], weights[j]
-            rest = list(weights)
-            rest.remove(wi)
-            rest.remove(wj)
-            lb_plus = _weighted_value(rest + [wi + wj])
-            lb_minus = _weighted_value(rest + [abs(wi - wj)])
-            est = 1 + max(lb_plus, lb_minus)
-            moves.append((est, -(wi + wj), i, j, lb_plus, lb_minus))
+            plus, minus = wi + wj, abs(wi - wj)
+            bounds = by_pair.get((plus, minus))
+            if bounds is None:
+                rest = list(weights)
+                rest.remove(wi)
+                rest.remove(wj)
+                lb_plus = _weighted_value(rest + [plus])
+                lb_minus = _weighted_value(rest + [minus])
+                # the answer with the higher bound is searched first
+                first, second = (minus, plus) if lb_minus >= lb_plus else (plus, minus)
+                bounds = by_pair[plus, minus] = (1 + max(lb_plus, lb_minus), first, second)
+            est, first, second = bounds
+            moves.append((est, -plus, i, j, first, second))
         moves.sort()
         best = self.n  # any value is below n
-        for est, _, i, j, lb_plus, lb_minus in moves:
+        for est, _, i, j, first, second in moves:
             if est >= best:  # ordered by est: no later move can improve
                 break
-            wi, wj = weights[i], weights[j]
-            plus = _merge_codes(codes, i, j, wi + wj, shift)
-            minus = _merge_codes(codes, i, j, abs(wi - wj), shift)
-            first, second = (minus, plus) if lb_minus >= lb_plus else (plus, minus)
-            v1 = self._value(first)
+            v1 = self._value(_merge_codes(codes, i, j, first, shift))
             if 1 + v1 >= best:
                 continue
-            v2 = self._value(second)
+            v2 = self._value(_merge_codes(codes, i, j, second, shift))
             mv = 1 + max(v1, v2)
             if mv < best:
                 best = mv

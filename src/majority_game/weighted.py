@@ -17,13 +17,15 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .core import InputError
+
 WeightVector = tuple[int, ...]
 
 
 def normalize(weights) -> WeightVector:
     w = tuple(sorted((int(x) for x in weights), reverse=True))
     if w and w[-1] < 0:
-        raise ValueError("weights must be non-negative")
+        raise InputError(f"weights must be non-negative, got {w[-1]}")
     return w
 
 

@@ -10,6 +10,7 @@ from majority_game.generators import (
     complete_graph,
     free_trees,
     path_graph,
+    random_graph,
     random_tree,
     star_graph,
 )
@@ -297,3 +298,39 @@ def test_unreachable_merge_weight_is_rejected():
         forced_queries(g, _OutOfRangeAdversary())
     with pytest.raises(StrategyError):
         Game(g, _OutOfRangeAdversary()).ask(0, 1)
+
+
+def edges_leaving(edges, mask):
+    return sum(1 for u, v in edges if ((mask >> u) & 1) != ((mask >> v) & 1))
+
+
+def test_boundary_parity_matches_edge_count():
+    graphs = [g for n in range(1, 9) for g in free_trees(n)]
+    graphs += [random_graph(n, 0.5, seed=s) for n, s in ((5, 1), (7, 2), (8, 3), (9, 4))]
+    for g in graphs:
+        odd = adv._odd_degree_mask(g.edges)
+        for mask in range(1 << g.n):
+            assert adv._boundary_parity(mask, odd) == edges_leaving(g.edges, mask) & 1
+
+
+def test_part_parity_matches_edge_count_with_pendant():
+    def part_delta(tree, part, mask):
+        # the per-edge formula over the part's edges, plus the pendant
+        edges = [(a, b) for a, b in tree.sorted_edges if (part.mask >> a) & (part.mask >> b) & 1]
+        cnt = edges_leaving(edges, mask)
+        if part.augmented and (mask >> part.root) & 1:
+            cnt += 1  # the imaginary pendant vertex is never inside mask
+        return cnt & 1
+
+    parts_seen = 0
+    for n in range(3, 12, 2):
+        for t in free_trees(n):
+            for p in (1, 2, 3, 4):
+                for part in adv.Lefogo2Adversary(t, p).parts:
+                    parts_seen += 1
+                    sub = part.mask
+                    while sub:
+                        got = adv._boundary_parity(sub, part.odd_degree_mask)
+                        assert got == part_delta(t, part, sub)
+                        sub = (sub - 1) & part.mask
+    assert parts_seen > 1000

@@ -63,6 +63,26 @@ def test_solve_graph_rejects_oversized_graph(capsys, tmp_path):
     assert out.startswith("error: ") and "n < 128" in out and len(out.splitlines()) == 1
 
 
+def test_solve_weighted_rejects_bad_token(capsys):
+    code, out = run_cli(capsys, ["solve-weighted", "1,x", "--json"])
+    assert code == 2
+    assert "'x'" in json.loads(out)["error"]
+
+
+def test_certify_rejects_negative_weight(capsys):
+    code, out = run_cli(capsys, ["certify", "3,-1"])
+    assert code == 2
+    assert out.startswith("error:") and "-1" in out
+
+
+def test_nondet_cert_rejects_bad_coloring(capsys, tmp_path):
+    f = tmp_path / "p5.txt"
+    f.write_text(path_graph(5).to_text())
+    code, out = run_cli(capsys, ["nondet", "cert", str(f), "RRXRR", "--json"])
+    assert code == 2
+    assert "RRXRR" in json.loads(out)["error"]
+
+
 def test_program_fault_keeps_its_traceback(monkeypatch, path6_file):
     # a fault in the program's own adversaries is not reported as bad input
     def fault(args):

@@ -16,10 +16,11 @@ from majority_game.adversary import (
 )
 from majority_game.bounds import popcount
 from majority_game.constructions import build_minedge_graph, verify_querier
-from majority_game.core import Graph, UnsolvableGraphError
+from majority_game.core import Graph, InputError, UnsolvableGraphError
 from majority_game.generators import complete_graph, path_graph, random_graph, star_graph
 from majority_game.graphsolver import (
     GraphSolver,
+    _merge_codes,
     forced_queries,
     optimal_querier,
     play,
@@ -241,3 +242,71 @@ def test_play_propagates_querier_errors():
     with pytest.raises(IllegalQueryError):
         covering_playback(p15, OddpathAdversary(p15), bad_querier)
     assert len(calls) == 4
+
+
+def test_unknown_canonical_mode_is_an_input_error():
+    with pytest.raises(InputError):
+        solve_graph(path_graph(4), canonical="mirror")
+
+
+def test_merge_codes_matches_a_full_sort():
+    rng = random.Random(5)
+    for _ in range(500):
+        n = rng.randint(2, 12)
+        shift = n.bit_length()
+        masks: dict[int, int] = {}
+        for v in range(n):
+            c = rng.randrange(n)
+            masks[c] = masks.get(c, 0) | 1 << v
+        if len(masks) < 2:
+            continue
+        codes = tuple(sorted((m << shift) | rng.randint(0, n) for m in masks.values()))
+        i, j = rng.sample(range(len(codes)), 2)
+        w = rng.randint(0, n)
+        merged = (((codes[i] >> shift) | (codes[j] >> shift)) << shift) | w
+        want = tuple(sorted([c for t, c in enumerate(codes) if t not in (i, j)] + [merged]))
+        assert _merge_codes(codes, i, j, w, shift) == want
+
+
+# -- differential sweep over every small graph ---------------------------
+
+
+def atlas_graphs(max_n):
+    """The solvable graphs of the networkx atlas (every graph on at most
+    seven vertices, up to isomorphism) with at most max_n vertices."""
+    nx = pytest.importorskip("networkx")
+    out = []
+    for g in nx.graph_atlas_g():
+        n = g.number_of_nodes()
+        graph = Graph.from_edges(n, g.edges())
+        if n <= max_n and graph.is_majority_solvable():
+            out.append(graph)
+    return out
+
+
+def test_atlas_matches_split_level_oracle():
+    graphs = atlas_graphs(6)
+    assert len(graphs) == 152
+    for g in graphs:
+        assert solve_graph(g).value == reference_value(g), g.to_text()
+
+
+def test_atlas_values_survive_relabelling():
+    graphs = atlas_graphs(7)
+    assert len(graphs) == 1150
+    rng = random.Random(23)
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.sorted_edges])
+        assert solve_graph(h).value == solve_graph(g).value, g.to_text()
+
+
+def test_atlas_adding_an_edge_never_raises_the_value():
+    for g in atlas_graphs(7):
+        m = solve_graph(g).value
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if not g.has_edge(u, v):
+                    h = Graph.from_edges(g.n, [*g.edges, (u, v)])
+                    assert solve_graph(h).value <= m, (g.to_text(), (u, v))
