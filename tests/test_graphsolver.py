@@ -114,6 +114,8 @@ def test_canonical_modes_agree():
         assert solve_graph(g, canonical="path").value == solve_graph(g, canonical="generic").value
     with pytest.raises(ValueError):
         solve_graph(star_graph(5), canonical="path")
+    with pytest.raises(InputError):
+        solve_graph(path_graph(4), canonical="mirror")
 
 
 def test_table_cap_keeps_value_exact():
@@ -242,11 +244,6 @@ def test_play_propagates_querier_errors():
     with pytest.raises(IllegalQueryError):
         covering_playback(p15, OddpathAdversary(p15), bad_querier)
     assert len(calls) == 4
-
-
-def test_unknown_canonical_mode_is_an_input_error():
-    with pytest.raises(InputError):
-        solve_graph(path_graph(4), canonical="mirror")
 
 
 def test_merge_codes_matches_a_full_sort():
