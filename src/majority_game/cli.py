@@ -62,6 +62,7 @@ def _cmd_solve_graph(args) -> int:
         "runtime_ms": round(res.runtime_ms, 3),
         "canonical": res.canonical,
         "table_entries": res.table_entries,
+        "bound_entries": res.bound_entries,
     }
     _emit(payload, args.json, f"m(G) = {res.value}  [n={graph.n}, m={len(graph.edges)}, "
           f"{res.nodes_expanded} nodes, {res.runtime_ms:.1f} ms, {res.canonical} keys]")

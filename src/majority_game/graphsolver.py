@@ -15,12 +15,19 @@ component weights up to reversal: path mode keys the table by that
 sequence.  Zero weights stay in it, because they still separate their
 neighbours.
 
-Pruning: the weighted game on the current component weights is a
-relaxation of the graph game (it allows every pair), so its exact value is
-a lower bound; the querier loop stops as soon as a move meets it.
-Evaluation of a move's second answer is skipped when its first answer
-already makes the move no better than the current best.  Both cuts leave
-table entries exact.
+Pruning: the search is fail-high.  ``_value(codes, beta)`` returns the
+exact value when it is below beta and otherwise a proven lower bound of at
+least beta: a node's best starts at beta, and both answers of a move are
+searched with the cutoff best - 1, since a child worth that much or more
+cannot improve the move.  The weighted game on the current component
+weights is a relaxation of the graph game (it allows every pair), so its
+exact value is a lower bound; a node returns at once when it reaches beta,
+and the querier loop stops as soon as a move meets it.  A move's second
+answer is searched only when its first does not already cut the move.
+The table has two kinds of entry: exact values, which answer every
+lookup, and lower bounds from nodes that found no move below their beta,
+which answer a lookup whose cutoff they reach and otherwise seed the
+re-search.  Both kinds count towards ``table_cap``.
 """
 
 from __future__ import annotations
@@ -67,7 +74,8 @@ class SolveResult:
     nodes_expanded: int
     runtime_ms: float
     canonical: str
-    table_entries: int
+    table_entries: int  # exact values and lower bounds together
+    bound_entries: int
 
 
 @dataclass(frozen=True)
@@ -188,7 +196,8 @@ class GraphSolver:
         if canonical not in ("path", "generic"):
             raise InputError(f"unknown canonical mode: {canonical}")
         self.canonical = canonical
-        self.table: dict[tuple[int, ...], int] = {}
+        self.table: dict[tuple[int, ...], int] = {}  # exact values
+        self.bound_table: dict[tuple[int, ...], int] = {}  # lower bounds
         self.table_cap = table_cap
         self.nodes = 0
 
@@ -210,17 +219,21 @@ class GraphSolver:
 
     # -- search --------------------------------------------------------
 
-    def _value(self, codes: tuple[int, ...]) -> int:
+    def _value(self, codes: tuple[int, ...], beta: int) -> int:
+        """The state's exact value if it is below beta, else a proven lower
+        bound on it that is at least beta."""
         key = self._key(codes)
         hit = self.table.get(key)
         if hit is not None:
             return hit
         wmask, shift = self.wmask, self.shift
         if _terminal(codes, wmask):
-            return self._store(key, 0)
-        self.nodes += 1
+            return self._store(key, 0, self.table)
         weights = [c & wmask for c in codes]
-        lb = _weighted_value(weights)
+        lb = max(self.bound_table.get(key, 0), _weighted_value(weights))
+        if lb >= beta:
+            return lb
+        self.nodes += 1
         # a move's bounds depend only on the weight multiset, so the moves
         # on one weight pair, keyed by (sum, difference), share them
         by_pair: dict[tuple[int, int], tuple[int, int, int]] = {}
@@ -241,32 +254,35 @@ class GraphSolver:
             est, first, second = bounds
             moves.append((est, -plus, i, j, first, second))
         moves.sort()
-        best = self.n  # any value is below n
+        best = beta  # only a move below beta is of use to the caller
         for est, _, i, j, first, second in moves:
             if est >= best:  # ordered by est: no later move can improve
                 break
-            v1 = self._value(_merge_codes(codes, i, j, first, shift))
+            v1 = self._value(_merge_codes(codes, i, j, first, shift), best - 1)
             if 1 + v1 >= best:
                 continue
-            v2 = self._value(_merge_codes(codes, i, j, second, shift))
+            v2 = self._value(_merge_codes(codes, i, j, second, shift), best - 1)
             mv = 1 + max(v1, v2)
             if mv < best:
                 best = mv
                 if best <= lb:
                     break
-        return self._store(key, best)
+        return self._store(key, best, self.table if best < beta else self.bound_table)
 
-    def _store(self, key: tuple[int, ...], value: int) -> int:
-        """Table a value unless the table is at its cap."""
-        if self.table_cap is None or len(self.table) < self.table_cap:
-            self.table[key] = value
+    def _store(self, key: tuple[int, ...], value: int, table: dict) -> int:
+        """Table an exact value or a lower bound, replacing any bound the
+        key had, unless the two tables together are at the cap."""
+        self.bound_table.pop(key, None)
+        if self.table_cap is None or len(self.table) + len(self.bound_table) < self.table_cap:
+            table[key] = value
         return value
 
     def solve(self) -> SolveResult:
         t0 = time.perf_counter()
-        value = self._value(root_codes(self.n))
+        value = self._value(root_codes(self.n), self.n)  # every value is below n
         ms = (time.perf_counter() - t0) * 1000.0
-        return SolveResult(value, self.nodes, ms, self.canonical, len(self.table))
+        entries = len(self.table) + len(self.bound_table)
+        return SolveResult(value, self.nodes, ms, self.canonical, entries, len(self.bound_table))
 
     def best_query(self, state: QueryState) -> Edge:
         """Optimal move in a state; ties go to the smallest canonical edge."""
@@ -277,8 +293,8 @@ class GraphSolver:
         pair_value: dict[Edge, int] = {}
         for (i, j), edge in self._cross_pairs(codes).items():
             wi, wj = weights[i], weights[j]
-            plus = self._value(_merge_codes(codes, i, j, wi + wj, self.shift))
-            minus = self._value(_merge_codes(codes, i, j, abs(wi - wj), self.shift))
+            plus = self._value(_merge_codes(codes, i, j, wi + wj, self.shift), self.n)
+            minus = self._value(_merge_codes(codes, i, j, abs(wi - wj), self.shift), self.n)
             pair_value[edge] = 1 + max(plus, minus)
         target = min(pair_value.values())
         return min(edge for edge, value in pair_value.items() if value == target)

@@ -96,7 +96,17 @@ def _value_pairs(w: WeightVector):
             yield a, b
 
 
-_memo: dict[WeightVector, int] = {}
+_memo: dict[WeightVector, int] = {}  # grows across a process until clear()
+
+
+def cache_info() -> dict[str, int]:
+    """The size of the memo `_solve` shares across calls."""
+    return {"size": len(_memo)}
+
+
+def clear() -> None:
+    """Empty the memo; later solves refill it with the same values."""
+    _memo.clear()
 
 
 def _solve(w: WeightVector) -> int:

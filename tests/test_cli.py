@@ -37,6 +37,7 @@ def test_solve_graph_from_file(capsys, path6_file):
     payload = json.loads(out)
     assert payload["value"] == 5 and payload["n"] == 6 and payload["m"] == 5
     assert payload["canonical"] == "path" and payload["table_entries"] > 0
+    assert 0 < payload["bound_entries"] < payload["table_entries"]
 
 
 def test_solve_graph_rejects_unsolvable(capsys, tmp_path):

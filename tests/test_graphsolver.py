@@ -17,13 +17,16 @@ from majority_game.adversary import (
 from majority_game.bounds import popcount
 from majority_game.constructions import build_minedge_graph, verify_querier
 from majority_game.core import Graph, InputError, UnsolvableGraphError
-from majority_game.generators import complete_graph, path_graph, random_graph, star_graph
+from majority_game.generators import complete_graph, path_graph, random_graph, random_tree, star_graph
 from majority_game.graphsolver import (
+    GameView,
     GraphSolver,
     _merge_codes,
+    _terminal,
     forced_queries,
     optimal_querier,
     play,
+    root_codes,
     solve_graph,
 )
 from majority_game.weighted import solve_weighted
@@ -119,10 +122,48 @@ def test_canonical_modes_agree():
 
 
 def test_table_cap_keeps_value_exact():
-    g = path_graph(10)
-    capped = solve_graph(g, table_cap=50)
-    assert capped.value == solve_graph(g).value
-    assert capped.table_entries <= 50
+    for g in (path_graph(10), random_tree(10, 1)):
+        capped = solve_graph(g, table_cap=50)
+        assert capped.value == solve_graph(g).value
+        assert capped.table_entries <= 50  # exact values and lower bounds together
+
+
+def reachable_codes(graph, count, rng):
+    """The root and `count` non-terminal packed states reached from it by
+    random queries and answers."""
+    root = root_codes(graph.n)
+    shift = graph.n.bit_length()
+    out = [root]
+    while len(out) <= count:
+        codes = root
+        for _ in range(rng.randrange(graph.n)):
+            view = GameView(graph, codes)
+            a, b = rng.choice([(view.comp_of(u), view.comp_of(v)) for u, v in graph.sorted_edges
+                               if view.comp_of(u) != view.comp_of(v)])
+            wa, wb = view.weights[a], view.weights[b]
+            nxt = _merge_codes(codes, a, b, rng.choice((wa + wb, abs(wa - wb))), shift)
+            if _terminal(nxt, (1 << shift) - 1):
+                break
+            codes = nxt
+        out.append(codes)
+    return out
+
+
+def test_cutoff_contract():
+    # below beta the value is exact; otherwise a lower bound in [beta, exact],
+    # both on a fresh solver and on one whose table keeps the earlier bounds
+    rng = random.Random(29)
+    graphs = [path_graph(9), star_graph(7)] + [random_tree(9, s) for s in (1, 2, 3)]
+    for g in graphs:
+        shared = GraphSolver(g)
+        for codes in reachable_codes(g, 30, rng):
+            exact = GraphSolver(g)._value(codes, g.n)
+            for beta in range(g.n + 1):
+                for got in (GraphSolver(g)._value(codes, beta), shared._value(codes, beta)):
+                    if got < beta:
+                        assert got == exact, (g.to_text(), codes, beta)
+                    else:
+                        assert beta <= got <= exact, (g.to_text(), codes, beta)
 
 
 def test_window_bounds_on_random_graphs():
@@ -157,6 +198,36 @@ def test_optimal_querier_meets_value_on_every_answer_path(graph, budget):
     assert solve_graph(graph).value == budget
     report = verify_querier(graph, optimal_querier(graph), budget)
     assert report.passed, report.failure_path
+
+
+# best_query's edge at each non-terminal state verify_querier visits, in
+# visit order, as the exact-only search (before the cutoff) chose them
+BEST_QUERY_EDGES = {
+    "P9": (path_graph(9), """
+        01 12 23 34 45 56 67 45 34 67 67 78 23 45 56 67 67 45 34 67 67 78 23 45 34 67 67 78
+        45 56 67 67"""),
+    "minedge8": (build_minedge_graph(8).graph, """
+        01 03 04 12 15 26 37 12 15 26 37 15 26 37 26 37 37 04 12 15 26 37 15 26 37 26 37 37
+        12 15 26 37 26 37 37 15 26 37 37 26 37 04 15 23 26 37 26 37 37 26 12 37 03 37 15 26
+        12 37 03 37 23 26 37 26 37 37"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEST_QUERY_EDGES))
+def test_best_query_edges_are_unchanged(name):
+    graph, recorded = BEST_QUERY_EDGES[name]
+    querier = optimal_querier(graph)
+    chosen = []
+
+    def recording(state):
+        edge = querier(state)
+        # a fresh table, without the root search's bounds, picks the same edge
+        assert GraphSolver(graph).best_query(state) == edge
+        chosen.append(f"{edge[0]}{edge[1]}")
+        return edge
+
+    assert verify_querier(graph, recording, solve_graph(graph).value).passed
+    assert chosen == recorded.split()
 
 
 def test_play_lengths():
@@ -297,6 +368,12 @@ def test_atlas_values_survive_relabelling():
         rng.shuffle(perm)
         h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.sorted_edges])
         assert solve_graph(h).value == solve_graph(g).value, g.to_text()
+
+
+def test_atlas_optimal_querier_meets_the_value():
+    for g in atlas_graphs(7):
+        report = verify_querier(g, optimal_querier(g), solve_graph(g).value)
+        assert report.passed, (g.to_text(), report.failure_path)
 
 
 def test_atlas_adding_an_edge_never_raises_the_value():

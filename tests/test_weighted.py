@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from majority_game import weighted
 from majority_game.bounds import count_balanced, popcount
+from majority_game.generators import path_graph
+from majority_game.graphsolver import solve_graph
 from majority_game.weighted import (
     adversarial_merge_weight,
     optimal_query,
@@ -196,3 +199,14 @@ def test_relevant_ball_stays_relevant_after_same(ws):
             rest = tuple(w[t] for t in range(len(w)) if t not in (i, j))
             succ = rest + (w[i] + w[j],)
             assert relevant(succ, len(rest))
+
+
+def test_memo_can_be_cleared():
+    weighted.clear()
+    assert weighted.cache_info()["size"] == 0
+    value = solve_graph(path_graph(9)).value  # the graph search's bounds fill it
+    assert weighted.cache_info()["size"] > 0
+    weighted.clear()
+    assert weighted.cache_info()["size"] == 0 and not weighted._memo
+    assert solve_graph(path_graph(9)).value == value
+    assert weighted.cache_info()["size"] > 0
