@@ -2,12 +2,15 @@
 """Exact game values and verification complexities of short odd paths.
 
 Prints, for odd n, the game value m(P_n), the verification complexity
-m_nd(P_n), and the savings n - m_nd(P_n) (which grows like sqrt(n)).
+m_nd(P_n), and the savings n - m_nd(P_n) (which grows like sqrt(n)), with
+the search's expanded nodes, the row's wall time and the process's peak
+resident memory so far.
 
 Usage: python3 scripts/odd_path_table.py [max_n]   (default 13)
 """
 
 import argparse
+import resource
 import time
 
 from majority_game.generators import path_graph
@@ -15,18 +18,20 @@ from majority_game.graphsolver import solve_graph
 from majority_game.nondet import m_nd
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("max_n", type=int, nargs="?", default=13, help="largest n (default 13)")
-    max_n = parser.parse_args().max_n
-    print("n\tm\tm_nd\tn-m_nd\tseconds")
+    max_n = parser.parse_args(argv).max_n
+    print("n\tm\tm_nd\tn-m_nd\tnodes\tseconds\tpeak_rss_mb")
     for n in range(3, max_n + 1, 2):
-        t0 = time.time()
+        t0 = time.perf_counter()
         g = path_graph(n)
-        value = solve_graph(g, canonical="path").value
+        res = solve_graph(g, canonical="path")
         nd = m_nd(g) if n <= 16 else "-"
         saving = n - nd if isinstance(nd, int) else "-"
-        print(f"{n}\t{value}\t{nd}\t{saving}\t{time.time() - t0:.1f}")
+        seconds = time.perf_counter() - t0
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
+        print(f"{n}\t{res.value}\t{nd}\t{saving}\t{res.nodes_expanded}\t{seconds:.1f}\t{rss_mb:.0f}")
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import adversary as adv
@@ -266,13 +267,17 @@ def _cmd_play(args) -> int:
 
 
 def _cmd_run_suite(args) -> int:
+    start = time.perf_counter()
     records = suites.run_suite(args.name, seed=args.seed, full=not args.quick,
                                threads=args.threads)
     failed = [r for r in records if not r.ok]
     if args.json:
         for r in records:
-            print(json.dumps({"suite": r.suite, "name": r.name, "ok": r.ok,
-                              "detail": r.detail, "repro": r.repro}, sort_keys=True))
+            # a check's time runs from the previous record, or the start, to its
+            # own; checks made from one shared computation carry it on the first
+            print(json.dumps({"suite": r.suite, "name": r.name, "ok": r.ok, "detail": r.detail,
+                              "repro": r.repro, "seconds": r.done_at - start}, sort_keys=True))
+            start = r.done_at
     else:
         print(f"suite {args.name} (seed {args.seed})")
         for r in records:

@@ -15,13 +15,25 @@ component weights up to reversal: path mode keys the table by that
 sequence.  Zero weights stay in it, because they still separate their
 neighbours.
 
-Pruning: the search is fail-high.  ``_value(codes, beta)`` returns the
-exact value when it is below beta and otherwise a proven lower bound of at
-least beta: a node's best starts at beta, and both answers of a move are
-searched with the cutoff best - 1, since a child worth that much or more
-cannot improve the move.  The weighted game on the current component
-weights is a relaxation of the graph game (it allows every pair), so its
-exact value is a lower bound; a node returns at once when it reaches beta,
+The search carries two more things with the codes, each updated by a
+merge in place of being rebuilt at every node.  A tuple parallel to the
+codes holds each component's neighbour mask, the vertices adjacent to it:
+a merge ORs the two masks and clears the union's own vertices, and the
+other masks, being vertex sets, stay as they are.  The moves are the pairs
+i < j with ``nbrs[i] & mask[j]``.  A weight-count integer holds, in the
+field at bit ``w * shift``, the number of components of weight w: a merge
+takes two units off and puts one on.  Shifted right by one field, which
+drops the zero weights, it keys the solver's cache of weighted-game values,
+so a bound costs one dict lookup; ``_search`` derives both from the codes
+alone, to enter the search at any state.
+
+Pruning: the search is fail-high.  ``_value(codes, nbrs, cnt, beta)``
+returns the exact value when it is below beta and otherwise a proven lower
+bound of at least beta: a node's best starts at beta, and both answers of
+a move are searched with the cutoff best - 1, since a child worth that
+much or more cannot improve the move.  The weighted game on the current
+component weights is a relaxation of the graph game (it allows every
+pair), so its exact value is a lower bound; a node returns at once when it reaches beta,
 and the querier loop stops as soon as a move meets it.  A move's second
 answer is searched only when its first does not already cut the move.
 The table has two kinds of entry: exact values, which answer every
@@ -54,10 +66,6 @@ from .core import (
 from .generators import is_path_in_order
 
 MAX_SOLVER_N = 128  # the minimax is out of reach far below this
-
-
-def _weighted_value(ws) -> int:
-    return weighted._solve(tuple(sorted(filter(None, ws), reverse=True)))  # zeros dropped
 
 
 def check_solvable(graph: Graph) -> None:
@@ -179,6 +187,26 @@ class GameView:
         return GameView(state.graph, encode_state(state))
 
 
+class _CountBounds(dict):
+    """Weighted-game values keyed by a weight count with its zero field
+    dropped: the field at bit ``(w - 1) * shift`` counts the weights w.
+    A miss solves the multiset through ``weighted._solve``."""
+
+    def __init__(self, shift: int):
+        super().__init__()
+        self.shift = shift
+
+    def __missing__(self, key: int) -> int:
+        ws: list[int] = []
+        fields, w = key, 1
+        while fields:
+            ws += [w] * (fields & ((1 << self.shift) - 1))
+            fields >>= self.shift
+            w += 1
+        value = self[key] = weighted._solve(tuple(reversed(ws)))
+        return value
+
+
 class GraphSolver:
     def __init__(self, graph: Graph, canonical: str = "auto", table_cap: int | None = None):
         check_solvable(graph)
@@ -189,6 +217,11 @@ class GraphSolver:
         self.shift = graph.n.bit_length()
         self.wmask = (1 << self.shift) - 1
         self.edges = graph.sorted_edges
+        self.adj = [sum(1 << u for u in nb) for nb in graph.adjacency]
+        # units[w] adds one component of weight w to a weight count; a count
+        # is at most n < 2 ** shift, so no field carries into the next
+        self.units = [1 << (w * self.shift) for w in range(graph.n + 1)]
+        self.bounds = _CountBounds(self.shift)
         if canonical == "path" and not is_path_in_order(graph):
             raise InputError("path canonical mode requires the 0-1-...-(n-1) path")
         if canonical == "auto":
@@ -207,61 +240,62 @@ class GraphSolver:
         ws = tuple(c & self.wmask for c in codes)
         return min(ws, ws[::-1])
 
-    def _cross_pairs(self, codes) -> dict[tuple[int, int], Edge]:
-        """Each pair of components joined by an edge, with its smallest edge."""
-        vc = _vertex_comp(self.n, codes)
-        pairs: dict[tuple[int, int], Edge] = {}
-        for e in self.edges:
-            a, b = vc[e[0]], vc[e[1]]
-            if a != b:
-                pairs.setdefault((a, b) if a < b else (b, a), e)
-        return pairs
-
     # -- search --------------------------------------------------------
 
-    def _value(self, codes: tuple[int, ...], beta: int) -> int:
+    def _search(self, codes: tuple[int, ...], beta: int) -> int:
+        """``_value`` on a packed state given by its codes alone: derives the
+        neighbour masks and the weight count that the search carries."""
+        view = GameView(self.graph, codes)
+        nbrs = [0] * len(codes)
+        for v, i in enumerate(view.vertex_comp):
+            nbrs[i] |= self.adj[v]
+        cnt = sum(self.units[w] for w in view.weights)
+        return self._value(codes, tuple(nb & ~m for nb, m in zip(nbrs, view.masks)), cnt, beta)
+
+    def _value(self, codes: tuple[int, ...], nbrs: tuple[int, ...], cnt: int, beta: int) -> int:
         """The state's exact value if it is below beta, else a proven lower
-        bound on it that is at least beta."""
+        bound on it that is at least beta.  ``nbrs[i]`` holds the vertices
+        adjacent to component i, and ``cnt`` the weight counts."""
         key = self._key(codes)
         hit = self.table.get(key)
         if hit is not None:
             return hit
-        wmask, shift = self.wmask, self.shift
+        wmask, shift, units, bounds = self.wmask, self.shift, self.units, self.bounds
         if _terminal(codes, wmask):
             return self._store(key, 0, self.table)
-        weights = [c & wmask for c in codes]
-        lb = max(self.bound_table.get(key, 0), _weighted_value(weights))
+        lb = max(self.bound_table.get(key, 0), bounds[cnt >> shift])
         if lb >= beta:
             return lb
         self.nodes += 1
-        # a move's bounds depend only on the weight multiset, so the moves
-        # on one weight pair, keyed by (sum, difference), share them
-        by_pair: dict[tuple[int, int], tuple[int, int, int]] = {}
+        weights = [c & wmask for c in codes]
+        masks = [c >> shift for c in codes]
         moves = []
-        for i, j in self._cross_pairs(codes):
-            wi, wj = weights[i], weights[j]
-            plus, minus = wi + wj, abs(wi - wj)
-            bounds = by_pair.get((plus, minus))
-            if bounds is None:
-                rest = list(weights)
-                rest.remove(wi)
-                rest.remove(wj)
-                lb_plus = _weighted_value(rest + [plus])
-                lb_minus = _weighted_value(rest + [minus])
-                # the answer with the higher bound is searched first
-                first, second = (minus, plus) if lb_minus >= lb_plus else (plus, minus)
-                bounds = by_pair[plus, minus] = (1 + max(lb_plus, lb_minus), first, second)
-            est, first, second = bounds
-            moves.append((est, -plus, i, j, first, second))
+        for j, mj in enumerate(masks):
+            for i in range(j):
+                if nbrs[i] & mj:
+                    wi, wj = weights[i], weights[j]
+                    plus, minus = wi + wj, abs(wi - wj)
+                    rest = cnt - units[wi] - units[wj]
+                    lb_plus = bounds[(rest + units[plus]) >> shift]
+                    lb_minus = bounds[(rest + units[minus]) >> shift]
+                    # the answer with the higher bound is searched first
+                    if lb_minus >= lb_plus:
+                        moves.append((1 + lb_minus, -plus, i, j, minus, plus))
+                    else:
+                        moves.append((1 + lb_plus, -plus, i, j, plus, minus))
         moves.sort()
         best = beta  # only a move below beta is of use to the caller
         for est, _, i, j, first, second in moves:
             if est >= best:  # ordered by est: no later move can improve
                 break
-            v1 = self._value(_merge_codes(codes, i, j, first, shift), best - 1)
+            # both answers leave the same components with the same neighbours
+            merged = masks[i] | masks[j]
+            child_nbrs = (*nbrs[:i], *nbrs[i + 1 : j], (nbrs[i] | nbrs[j]) & ~merged, *nbrs[j + 1 :])
+            rest = cnt - units[weights[i]] - units[weights[j]]
+            v1 = self._value(_merge_codes(codes, i, j, first, shift), child_nbrs, rest + units[first], best - 1)
             if 1 + v1 >= best:
                 continue
-            v2 = self._value(_merge_codes(codes, i, j, second, shift), best - 1)
+            v2 = self._value(_merge_codes(codes, i, j, second, shift), child_nbrs, rest + units[second], best - 1)
             mv = 1 + max(v1, v2)
             if mv < best:
                 best = mv
@@ -279,7 +313,7 @@ class GraphSolver:
 
     def solve(self) -> SolveResult:
         t0 = time.perf_counter()
-        value = self._value(root_codes(self.n), self.n)  # every value is below n
+        value = self._search(root_codes(self.n), self.n)  # every value is below n
         ms = (time.perf_counter() - t0) * 1000.0
         entries = len(self.table) + len(self.bound_table)
         return SolveResult(value, self.nodes, ms, self.canonical, entries, len(self.bound_table))
@@ -289,12 +323,17 @@ class GraphSolver:
         codes = encode_state(state)
         if _terminal(codes, self.wmask):
             raise StrategyError("state is terminal; no query needed")
-        weights = [c & self.wmask for c in codes]
+        vc = GameView(self.graph, codes).vertex_comp
+        pairs: dict[tuple[int, int], Edge] = {}  # the smallest edge across each pair
+        for u, v in self.edges:
+            a, b = vc[u], vc[v]
+            if a != b:
+                pairs.setdefault((a, b) if a < b else (b, a), (u, v))
         pair_value: dict[Edge, int] = {}
-        for (i, j), edge in self._cross_pairs(codes).items():
-            wi, wj = weights[i], weights[j]
-            plus = self._value(_merge_codes(codes, i, j, wi + wj, self.shift), self.n)
-            minus = self._value(_merge_codes(codes, i, j, abs(wi - wj), self.shift), self.n)
+        for (i, j), edge in pairs.items():
+            wi, wj = codes[i] & self.wmask, codes[j] & self.wmask
+            plus = self._search(_merge_codes(codes, i, j, wi + wj, self.shift), self.n)
+            minus = self._search(_merge_codes(codes, i, j, abs(wi - wj), self.shift), self.n)
             pair_value[edge] = 1 + max(plus, minus)
         target = min(pair_value.values())
         return min(edge for edge, value in pair_value.items() if value == target)

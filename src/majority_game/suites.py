@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 import os
 import random
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import adversary as adv
 from . import bounds, constructions, generators, nondet, weighted
@@ -28,6 +29,7 @@ class CheckRecord:
     ok: bool
     detail: str
     repro: str
+    done_at: float = field(default_factory=time.perf_counter)  # when the check finished
 
     def line(self) -> str:
         mark = "PASS" if self.ok else "FAIL"

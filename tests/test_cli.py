@@ -187,3 +187,12 @@ def test_run_suite_constructions(capsys):
     records = [json.loads(line) for line in out.splitlines()]
     assert all(r["ok"] for r in records)
     assert all("repro" in r for r in records)
+    assert all(isinstance(r["seconds"], float) and r["seconds"] >= 0 for r in records)
+    # the human-readable report carries no time
+    code, out = run_cli(capsys, ["run-suite", "constructions"])
+    assert code == 0
+    assert out.splitlines() == [
+        "suite constructions (seed 0)",
+        *(f" [PASS] {r['name']}: {r['detail']}  (repro: {r['repro']})" for r in records),
+        f"{len(records)}/{len(records)} checks passed",
+    ]

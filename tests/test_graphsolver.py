@@ -157,13 +157,51 @@ def test_cutoff_contract():
     for g in graphs:
         shared = GraphSolver(g)
         for codes in reachable_codes(g, 30, rng):
-            exact = GraphSolver(g)._value(codes, g.n)
+            exact = GraphSolver(g)._search(codes, g.n)
             for beta in range(g.n + 1):
-                for got in (GraphSolver(g)._value(codes, beta), shared._value(codes, beta)):
+                for got in (GraphSolver(g)._search(codes, beta), shared._search(codes, beta)):
                     if got < beta:
                         assert got == exact, (g.to_text(), codes, beta)
                     else:
                         assert beta <= got <= exact, (g.to_text(), codes, beta)
+
+
+def edge_scan_pairs(graph, codes):
+    """Each pair of components joined by an edge, found by scanning every
+    edge of the graph: the moves as the search once derived them."""
+    vc = GameView(graph, codes).vertex_comp
+    return {(min(vc[u], vc[v]), max(vc[u], vc[v])) for u, v in graph.sorted_edges if vc[u] != vc[v]}
+
+
+def test_carried_state_matches_the_codes():
+    # every state the search reaches through carried merges: its moves are
+    # the edge scan's pairs and its count-keyed bound is the weighted value,
+    # zero weights included; K_7 and K_15 fill a count field to full width
+    rng = random.Random(31)
+    graphs = [path_graph(9), star_graph(7), random_graph(10, 0.35, seed=0)]
+    graphs += [random_tree(n, s) for n in (9, 12) for s in (1, 2, 3)]
+    graphs += [complete_graph(n) for n in (7, 8, 15, 16)]
+    assert len(graphs[2].edges) > graphs[2].n - 1 == 9  # connected, with cycles
+    for g in graphs:
+        solver = GraphSolver(g, canonical="generic")
+        shift, wmask, search = solver.shift, solver.wmask, solver._value
+        seen = {}
+
+        def checking(codes, nbrs, cnt, beta):
+            if codes not in seen:
+                masks = [c >> shift for c in codes]
+                weights = [c & wmask for c in codes]
+                pairs = {(i, j) for j, mj in enumerate(masks) for i in range(j) if nbrs[i] & mj}
+                assert pairs == edge_scan_pairs(g, codes), (g.to_text(), codes)
+                assert cnt == sum(1 << (w * shift) for w in weights)
+                assert solver.bounds[cnt >> shift] == solve_weighted(weights), (g.to_text(), weights)
+                seen[codes] = 0 in weights
+            return search(codes, nbrs, cnt, beta)
+
+        solver._value = checking
+        for codes in reachable_codes(g, 20, rng):
+            solver._search(codes, g.n)
+        assert len(seen) > 20 and any(seen.values()), g.to_text()
 
 
 def test_window_bounds_on_random_graphs():
