@@ -244,7 +244,11 @@ class GraphSolver:
 
     def _search(self, codes: tuple[int, ...], beta: int) -> int:
         """``_value`` on a packed state given by its codes alone: derives the
-        neighbour masks and the weight count that the search carries."""
+        neighbour masks and the weight count that the search carries, unless
+        the table already holds the exact value."""
+        hit = self.table.get(self._key(codes))
+        if hit is not None:
+            return hit
         view = GameView(self.graph, codes)
         nbrs = [0] * len(codes)
         for v, i in enumerate(view.vertex_comp):
