@@ -24,8 +24,9 @@ i < j with ``nbrs[i] & mask[j]``.  A weight-count integer holds, in the
 field at bit ``w * shift``, the number of components of weight w: a merge
 takes two units off and puts one on.  Shifted right by one field, which
 drops the zero weights, it keys the solver's cache of weighted-game values,
-so a bound costs one dict lookup; ``_search`` derives both from the codes
-alone, to enter the search at any state.
+so a bound costs one dict lookup.  ``_carried`` derives both from a state's
+components where the search is entered: at the root and at each state
+``best_query`` is asked about.
 
 Pruning: the search is fail-high.  ``_value(codes, nbrs, cnt, beta)``
 returns the exact value when it is below beta and otherwise a proven lower
@@ -160,6 +161,11 @@ def _merge_codes(codes, i: int, j: int, w: int, shift: int) -> tuple[int, ...]:
     return (*codes[:i], *codes[i + 1 : j], merged, *codes[j + 1 :])
 
 
+def _merge_nbrs(nbrs, i: int, j: int, merged: int) -> tuple[int, ...]:
+    """The neighbour masks after components i < j merge into ``merged``."""
+    return (*nbrs[:i], *nbrs[i + 1 : j], (nbrs[i] | nbrs[j]) & ~merged, *nbrs[j + 1 :])
+
+
 class GameView:
     """Cheap read-only snapshot of a packed state for strategy code:
     component bitmasks and weights, no splits."""
@@ -242,19 +248,18 @@ class GraphSolver:
 
     # -- search --------------------------------------------------------
 
-    def _search(self, codes: tuple[int, ...], beta: int) -> int:
-        """``_value`` on a packed state given by its codes alone: derives the
-        neighbour masks and the weight count that the search carries, unless
-        the table already holds the exact value."""
-        hit = self.table.get(self._key(codes))
-        if hit is not None:
-            return hit
-        view = GameView(self.graph, codes)
-        nbrs = [0] * len(codes)
+    def _carried(self, view: GameView) -> tuple[tuple[int, ...], int]:
+        """The neighbour masks and the weight count of a state, which the
+        search carries from there on."""
+        nbrs = [0] * len(view.codes)
         for v, i in enumerate(view.vertex_comp):
             nbrs[i] |= self.adj[v]
         cnt = sum(self.units[w] for w in view.weights)
-        return self._value(codes, tuple(nb & ~m for nb, m in zip(nbrs, view.masks)), cnt, beta)
+        return tuple(nb & ~m for nb, m in zip(nbrs, view.masks)), cnt
+
+    def _search(self, codes: tuple[int, ...], beta: int) -> int:
+        """``_value`` on a packed state given by its codes alone."""
+        return self._value(codes, *self._carried(GameView(self.graph, codes)), beta)
 
     def _value(self, codes: tuple[int, ...], nbrs: tuple[int, ...], cnt: int, beta: int) -> int:
         """The state's exact value if it is below beta, else a proven lower
@@ -293,8 +298,7 @@ class GraphSolver:
             if est >= best:  # ordered by est: no later move can improve
                 break
             # both answers leave the same components with the same neighbours
-            merged = masks[i] | masks[j]
-            child_nbrs = (*nbrs[:i], *nbrs[i + 1 : j], (nbrs[i] | nbrs[j]) & ~merged, *nbrs[j + 1 :])
+            child_nbrs = _merge_nbrs(nbrs, i, j, masks[i] | masks[j])
             rest = cnt - units[weights[i]] - units[weights[j]]
             v1 = self._value(_merge_codes(codes, i, j, first, shift), child_nbrs, rest + units[first], best - 1)
             if 1 + v1 >= best:
@@ -327,7 +331,9 @@ class GraphSolver:
         codes = encode_state(state)
         if _terminal(codes, self.wmask):
             raise StrategyError("state is terminal; no query needed")
-        vc = GameView(self.graph, codes).vertex_comp
+        view = GameView(self.graph, codes)
+        nbrs, cnt = self._carried(view)
+        vc, units = view.vertex_comp, self.units
         pairs: dict[tuple[int, int], Edge] = {}  # the smallest edge across each pair
         for u, v in self.edges:
             a, b = vc[u], vc[v]
@@ -335,10 +341,13 @@ class GraphSolver:
                 pairs.setdefault((a, b) if a < b else (b, a), (u, v))
         pair_value: dict[Edge, int] = {}
         for (i, j), edge in pairs.items():
-            wi, wj = codes[i] & self.wmask, codes[j] & self.wmask
-            plus = self._search(_merge_codes(codes, i, j, wi + wj, self.shift), self.n)
-            minus = self._search(_merge_codes(codes, i, j, abs(wi - wj), self.shift), self.n)
-            pair_value[edge] = 1 + max(plus, minus)
+            wi, wj = view.weights[i], view.weights[j]
+            child_nbrs = _merge_nbrs(nbrs, i, j, view.masks[i] | view.masks[j])
+            rest = cnt - units[wi] - units[wj]
+            pair_value[edge] = 1 + max(
+                self._value(_merge_codes(codes, i, j, w, self.shift), child_nbrs, rest + units[w], self.n)
+                for w in (wi + wj, abs(wi - wj))
+            )
         target = min(pair_value.values())
         return min(edge for edge, value in pair_value.items() if value == target)
 
