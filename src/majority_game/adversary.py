@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import weighted
 from .core import BLUE, RED, GameError, Graph, QueryState, parse_coloring
 from .generators import is_path_in_order, is_tree, rooted_order
-from .graphsolver import Game, GameView, adversary_successors, root_codes
+from .graphsolver import Game, GameView, adversary_levels
 
 
 class AdversaryInvariantError(GameError):
@@ -250,7 +250,23 @@ def _mask_of(vertices) -> int:
     return m
 
 
-class Lefogo1Adversary:
+class _CoveringAdversary:
+    """A covering-set adversary: its own weight discipline while the total
+    weight is above ``switch_total``, exact minimax on the weights after."""
+
+    switch_total: int
+    endgame = ExactWeightedAdversary()
+
+    def discipline_active(self, view: GameView) -> bool:
+        return view.total > self.switch_total
+
+    def choose_merge(self, view: GameView, edge) -> int:
+        if not self.discipline_active(view):
+            return self.endgame.choose_merge(view, edge)
+        return self._discipline_merge(view, edge)
+
+
+class Lefogo1Adversary(_CoveringAdversary):
     """Covering-set adversary for graphs whose edges all touch a small set
     U.  First-touch discipline: a fresh outside vertex joining a component
     of weight >= 2 lowers it by one, otherwise weights add; switches to
@@ -269,14 +285,8 @@ class Lefogo1Adversary:
         self.cover_mask = _mask_of(self.cover)
         self.switch_total = 2 ** k + (n % 2)
         self.max_drop = 2
-        self.endgame = ExactWeightedAdversary()
 
-    def discipline_active(self, view: GameView) -> bool:
-        return view.total > self.switch_total
-
-    def choose_merge(self, view: GameView, edge) -> int:
-        if not self.discipline_active(view):
-            return self.endgame.choose_merge(view, edge)
+    def _discipline_merge(self, view: GameView, edge) -> int:
         u, v = edge
         i, j = view.comp_of(u), view.comp_of(v)
         wi, wj = view.weights[i], view.weights[j]
@@ -292,7 +302,7 @@ class Lefogo1Adversary:
         return wi + wj
 
 
-class OddpathAdversary:
+class OddpathAdversary(_CoveringAdversary):
     """Stride-cover adversary for odd paths: off-cover components stay at
     weight <= 1, cover components in [1, 2], endgame at 2^floor(log n)+1."""
 
@@ -313,14 +323,8 @@ class OddpathAdversary:
         self.cover_mask = _mask_of(self.cover)
         self.switch_total = 2 ** (n.bit_length() - 1) + 1
         self.max_drop = 4
-        self.endgame = ExactWeightedAdversary()
 
-    def discipline_active(self, view: GameView) -> bool:
-        return view.total > self.switch_total
-
-    def choose_merge(self, view: GameView, edge) -> int:
-        if not self.discipline_active(view):
-            return self.endgame.choose_merge(view, edge)
+    def _discipline_merge(self, view: GameView, edge) -> int:
         u, v = edge
         i, j = view.comp_of(u), view.comp_of(v)
         wi, wj = view.weights[i], view.weights[j]
@@ -342,7 +346,7 @@ class HangingPart:
     odd_degree_mask: int  # in the part's edges and the imaginary pendant
 
 
-class Lefogo2Adversary:
+class Lefogo2Adversary(_CoveringAdversary):
     """General odd-tree adversary: centroid cover, connecting/hanging
     decomposition of the residual pieces, per-part weight discipline with
     an imaginary degree-one vertex on even hanging parts, and exact-minimax
@@ -360,7 +364,6 @@ class Lefogo2Adversary:
         k = tree.n.bit_length() - 1
         self.switch_total = 2 ** k + 3
         self.max_drop = 4
-        self.endgame = ExactWeightedAdversary()
         self.connecting_mask, self.parts = self._decompose()
 
     def _decompose(self) -> tuple[int, tuple[HangingPart, ...]]:
@@ -408,12 +411,7 @@ class Lefogo2Adversary:
             parts.append(HangingPart(_mask_of(comp), part_root, augmented, odd))
         return _mask_of(connecting), tuple(parts)
 
-    def discipline_active(self, view: GameView) -> bool:
-        return view.total > self.switch_total
-
-    def choose_merge(self, view: GameView, edge) -> int:
-        if not self.discipline_active(view):
-            return self.endgame.choose_merge(view, edge)
+    def _discipline_merge(self, view: GameView, edge) -> int:
         u, v = edge
         i, j = view.comp_of(u), view.comp_of(v)
         wi, wj = view.weights[i], view.weights[j]
@@ -537,19 +535,12 @@ def verify_treelemma_all_orders(graph: Graph) -> bool:
     """Exhaustively walk every query order against the weight-discipline
     adversary and check its conditions in every reached state.
 
-    Each distinct state is checked once, on entry; the walk goes on past
-    terminal states, whose proper components the conditions still cover.
+    Each distinct state is checked once, on its level; the walk goes on
+    past terminal states, whose proper components the conditions still
+    cover.
     """
-    adversary = TreelemmaAdversary(graph)
-    seen: set[tuple[int, ...]] = set()
-    stack = [root_codes(graph.n)]
-    while stack:
-        codes = stack.pop()
-        if codes in seen:
-            continue
-        seen.add(codes)
-        view = GameView(graph, codes)
-        if check_treelemma_conditions(graph, view):
-            return False
-        stack += adversary_successors(view, adversary)
-    return True
+    return not any(
+        check_treelemma_conditions(graph, view)
+        for views in adversary_levels(graph, TreelemmaAdversary(graph))
+        for view in views
+    )

@@ -268,8 +268,7 @@ def _cmd_play(args) -> int:
 
 def _cmd_run_suite(args) -> int:
     start = time.perf_counter()
-    records = suites.run_suite(args.name, seed=args.seed, full=not args.quick,
-                               threads=args.threads)
+    records = suites.run_suite(args.name, seed=args.seed, full=not args.quick)
     failed = [r for r in records if not r.ok]
     if args.json:
         for r in records:
@@ -379,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=sorted(suites.SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quick", action="store_true", help="skip the slowest instances")
-    p.add_argument("--threads", type=int, default=None,
-                   help="instance parallelism (default: MAJORITY_GAME_THREADS or 1)")
     add_json(p)
     p.set_defaults(fn=_cmd_run_suite)
 

@@ -137,10 +137,6 @@ def parse_coloring(text: str, n: int | None = None) -> str:
     return c
 
 
-def is_balanced(coloring: str) -> bool:
-    return 2 * coloring.count(RED) == len(coloring)
-
-
 @dataclass(frozen=True)
 class Component:
     """A q-component: the two color-class sides, stored canonically.

@@ -7,7 +7,9 @@ cross-component query (the sum and the absolute difference), and the game
 value of a state depends only on the component partition and the weights,
 so states that differ in their internal splits share one table entry.
 This module owns the packed format; other modules reach it only through
-``GameView``, ``root_codes``, ``adversary_successors`` and ``Game``.
+``GameView``, ``root_codes``, ``adversary_successors``, ``adversary_levels``
+and ``Game``.  Every query merges two components, so a state with k
+components lies on level n - k of ``adversary_levels`` and on no other.
 
 On the path 0-1-...-(n-1) every component is an interval and sorted codes
 list them left to right, so the value depends only on the sequence of
@@ -442,27 +444,32 @@ def adversary_successors(view: GameView, adversary) -> list[tuple[int, ...]]:
     return out
 
 
-def forced_queries(graph: Graph, adversary) -> int:
-    """Fewest queries any querier needs against the fixed adversary.
+def adversary_levels(graph: Graph, adversary):
+    """For d = 0, 1, 2, ... the views of the distinct states that some
+    query order reaches after d answers of the adversary, terminal states
+    included and walked past.  Only two levels are held at a time."""
+    level = {root_codes(graph.n)}
+    while level:
+        views = [GameView(graph, codes) for codes in level]
+        yield views
+        level = {succ for view in views for succ in adversary_successors(view, adversary)}
 
-    Memoized on the packed state; sound because every adversary here
-    answers as a function of the component partition and weights alone.
+
+def forced_queries(graph: Graph, adversary) -> int:
+    """Fewest queries any querier needs against the fixed adversary: the
+    first level of ``adversary_levels`` that holds a terminal state.  A
+    terminal state reached only through an earlier one lies on a later
+    level, so walking past terminals cannot lower the answer.
+
+    Walking packed states is sound because every adversary here answers
+    as a function of the component partition and weights alone.
     """
     check_solvable(graph)
-    memo: dict[tuple[int, ...], int] = {}
-
     wmask = (1 << graph.n.bit_length()) - 1
-
-    def rec(codes: tuple[int, ...]) -> int:
-        if _terminal(codes, wmask):
-            return 0
-        hit = memo.get(codes)
-        if hit is not None:
-            return hit
-        best = graph.n
-        for succ in adversary_successors(GameView(graph, codes), adversary):
-            best = min(best, 1 + rec(succ))
-        memo[codes] = best
-        return best
-
-    return rec(root_codes(graph.n))
+    # the walk ends in states with no cross edge, which a solvable graph
+    # makes terminal, so some level holds one
+    return next(
+        d
+        for d, views in enumerate(adversary_levels(graph, adversary))
+        if any(_terminal(view.codes, wmask) for view in views)
+    )

@@ -92,22 +92,18 @@ def cert(graph: Graph, coloring: str, max_edges: int = 24) -> CertReport:
     raise AssertionError("querying every edge certifies any solvable graph")
 
 
-def m_nd(graph: Graph, use_path_dp: bool | None = None) -> int:
+def m_nd(graph: Graph) -> int:
     """Worst-case certificate size over all colorings (up to global flip)."""
     check_solvable(graph)
     n = graph.n
     if n > 16:
         raise ValueError("coloring enumeration limited to n <= 16")
-    if use_path_dp is None:
-        use_path_dp = is_path_in_order(graph)
+    use_path_dp = is_path_in_order(graph)
     upper = n - len(graph.components())
     best = 0
     for bits in range(2 ** (n - 1)):
         coloring = RED + "".join(RED if (bits >> i) & 1 else BLUE for i in range(n - 1))
-        if use_path_dp:
-            size = path_cert(coloring).size
-        else:
-            size = cert(graph, coloring).size
+        size = path_cert(coloring).size if use_path_dp else cert(graph, coloring).size
         if size > best:
             best = size
             if best == upper:

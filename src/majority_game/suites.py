@@ -9,10 +9,8 @@ integers.  Suites group the criteria: paper-values (1-4), properties
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import adversary as adv
@@ -38,25 +36,6 @@ class CheckRecord:
 
 def _rec(suite, name, ok, detail, repro) -> CheckRecord:
     return CheckRecord(suite, name, bool(ok), detail, repro)
-
-
-def _tree_value(edges: tuple, n: int) -> int:
-    return solve_graph(Graph.from_edges(n, edges)).value
-
-
-def _pool_size(threads: int | None) -> int:
-    if threads is None:
-        threads = int(os.environ.get("MAJORITY_GAME_THREADS", "1"))
-    return max(1, threads)
-
-
-def _tree_values(trees: list[Graph], threads: int | None) -> list[int]:
-    jobs = [(tuple(g.sorted_edges), g.n) for g in trees]
-    workers = _pool_size(threads)
-    if workers <= 1:
-        return [_tree_value(e, n) for e, n in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_tree_value, *zip(*jobs)))
 
 
 # -- criterion 1: complete graphs / all-ones vectors -----------------------
@@ -143,11 +122,11 @@ def criterion_2(full: bool = True) -> list[CheckRecord]:
 # -- criterion 3: even trees ------------------------------------------------
 
 
-def criterion_3(threads: int | None = None) -> list[CheckRecord]:
+def criterion_3() -> list[CheckRecord]:
     recs = []
     for n in (4, 6, 8, 10):
         trees = list(generators.free_trees(n))
-        values = _tree_values(trees, threads)
+        values = [solve_graph(g).value for g in trees]
         bad = [i for i, v in enumerate(values) if v != n - 1]
         recs.append(
             _rec(
@@ -246,10 +225,6 @@ def criterion_5(seed: int = 0) -> list[CheckRecord]:
 
 
 # -- criterion 6: terminal/relevance equivalence ----------------------------
-
-
-def _relevant_count(w) -> int:
-    return len(weighted.relevant_indices(w))
 
 
 def criterion_6() -> list[CheckRecord]:
@@ -563,19 +538,19 @@ def criterion_10(seed: int = 0) -> list[CheckRecord]:
 
 
 SUITES = {
-    "paper-values": lambda seed, full, threads: (
-        criterion_1() + criterion_2(full=full) + criterion_3(threads=threads) + criterion_4()
+    "paper-values": lambda seed, full: (
+        criterion_1() + criterion_2(full=full) + criterion_3() + criterion_4()
     ),
-    "properties": lambda seed, full, threads: (
+    "properties": lambda seed, full: (
         criterion_5(seed=seed) + criterion_6() + criterion_10(seed=seed)
     ),
-    "adversaries": lambda seed, full, threads: criterion_7(seed=seed),
-    "constructions": lambda seed, full, threads: criterion_8(),
-    "nondet": lambda seed, full, threads: criterion_9(seed=seed),
+    "adversaries": lambda seed, full: criterion_7(seed=seed),
+    "constructions": lambda seed, full: criterion_8(),
+    "nondet": lambda seed, full: criterion_9(seed=seed),
 }
 
 
-def run_suite(name: str, seed: int = 0, full: bool = True, threads: int | None = None) -> list[CheckRecord]:
+def run_suite(name: str, seed: int = 0, full: bool = True) -> list[CheckRecord]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    return SUITES[name](seed, full, threads)
+    return SUITES[name](seed, full)
