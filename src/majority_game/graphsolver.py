@@ -48,6 +48,7 @@ re-search.  Both kinds count towards ``table_cap``.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import weighted
@@ -444,7 +445,7 @@ def adversary_successors(view: GameView, adversary) -> list[tuple[int, ...]]:
     return out
 
 
-def adversary_levels(graph: Graph, adversary):
+def adversary_levels(graph: Graph, adversary) -> Iterator[list[GameView]]:
     """For d = 0, 1, 2, ... the views of the distinct states that some
     query order reaches after d answers of the adversary, terminal states
     included and walked past.  Only two levels are held at a time."""
