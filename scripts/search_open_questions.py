@@ -5,25 +5,31 @@ whatever the search finds.
   * reverse pair-merge: a non-hard (a, a, rest) whose merge (2a, rest) is
     hard would refute the reverse of the forward hardness propagation;
   * tree floor: search small odd trees for m(T) < n - 3;
-  * sparse optima: exact values of the hub construction vs its edge count.
+  * sparse optima: exact values of the hub construction vs its edge count;
+  * verification complexity: the histogram of m_nd(T) over odd free trees,
+    by brute-force certificates (the path DP covers only paths).
 
-Usage: python3 scripts/search_open_questions.py [--max-tree-n 11]
+Usage: python3 scripts/search_open_questions.py [--max-tree-n 11] [--max-total 12]
+           [--max-mnd-n 9]
 """
 
 import argparse
 import time
+from collections import Counter
 
 from majority_game.bounds import popcount, search_obs_reverse_counterexample
 from majority_game.constructions import build_minedge_graph
 from majority_game.generators import free_trees
 from majority_game.graphsolver import solve_graph
+from majority_game.nondet import m_nd
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-tree-n", type=int, default=11)
     parser.add_argument("--max-total", type=int, default=12)
-    args = parser.parse_args()
+    parser.add_argument("--max-mnd-n", type=int, default=9)
+    args = parser.parse_args(argv)
 
     t0 = time.time()
     print(f"reverse pair-merge search (totals <= {args.max_total}):")
@@ -53,6 +59,13 @@ def main() -> int:
         m = solve_graph(built.graph).value
         print(f"  n={n}: edges {len(built.graph.edges)} <= {n * (1 + popcount(n))},"
               f" m = {m} = n - b(n): {m == n - popcount(n)}")
+
+    print(f"\nm_nd over odd free trees (n <= {args.max_mnd_n}):")
+    for n in range(3, args.max_mnd_n + 1, 2):
+        start = time.time()
+        counts = Counter(m_nd(tree) for tree in free_trees(n))
+        histogram = ", ".join(f"{counts[v]} with m_nd = {v}" for v in sorted(counts))
+        print(f"  n={n}: {histogram} ({time.time() - start:.1f}s)")
     print(f"\ntotal {time.time() - t0:.1f}s")
     return 0
 

@@ -214,9 +214,11 @@ def _cmd_nondet(args) -> int:
         value = nondet.m_nd(graph)
         _emit({"n": graph.n, "m_nd": value}, args.json, f"m_nd = {value}")
         return 0
-    lo, hi = (int(x) for x in args.odd_n.split(".."))
+    lo, sep, hi = args.odd_n.partition("..")
+    if not (sep and lo.isdecimal() and hi.isdecimal()):
+        raise InputError(f"--odd-n {args.odd_n!r} is not a range lo..hi")
     rows = []
-    for n in range(lo, hi + 1):
+    for n in range(int(lo), int(hi) + 1):
         if n % 2 == 0:
             continue
         value = nondet.m_nd(generators.path_graph(n))

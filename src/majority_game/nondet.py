@@ -3,9 +3,11 @@
 Here the coloring is claimed in advance by an unreliable source and the
 querier only has to verify the answer: choose a cheapest query set whose
 coloring-induced state already pins the outcome down.  ``cert`` finds a
-minimum certificate by brute force, ``path_cert`` solves paths exactly by
-an interval dynamic program over prefix sums, and ``nondet_query_set``
-builds the explicit near-optimal certificates for odd paths.
+minimum certificate by brute force: it tries the edge subsets in order of
+size and tests each by its components' signed sums alone.  ``path_cert``
+solves paths exactly by an interval dynamic program over prefix sums, and
+``nondet_query_set`` builds the explicit near-optimal certificates for odd
+paths.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .core import (
     BLUE,
     Edge,
     Graph,
+    InputError,
     Outcome,
     RED,
     coloring_outcome,
@@ -27,6 +30,8 @@ from .generators import is_path_in_order, path_graph
 from .graphsolver import check_solvable
 
 NEG = -(10 ** 9)
+MAX_CERT_EDGES = 24  # cert tries up to 2**24 edge subsets
+MAX_MND_N = 16  # m_nd runs a certificate search for each of 2**(n-1) colorings
 
 
 @dataclass(frozen=True)
@@ -45,49 +50,73 @@ class CertReport:
         }
 
 
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _merge(signs: list[int], query_set) -> tuple[list[int], list[int]]:
+    """Union-find over the answered queries.  Returns (parent, sums):
+    `_find(parent, v)` is the root of v's component, each root holds its
+    component's signed sum (+1 per red vertex, -1 per blue one) and every
+    other vertex holds 0.  `cert` calls this for every edge subset it
+    tries, so `_find` is inlined here."""
+    parent = list(range(len(signs)))
+    sums = signs[:]
+    for u, v in query_set:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            sums[v] += sums[u]
+            sums[u] = 0
+    return parent, sums
+
+
+def _settled(weights: list[int]) -> bool:
+    """A state is terminal iff every component is balanced or one outweighs
+    all the others together."""
+    total = sum(weights)
+    return total == 0 or 2 * max(weights) > total
+
+
+def _signs(coloring: str) -> list[int]:
+    return [1 if ch == RED else -1 for ch in coloring]
+
+
 def induced_outcome(graph: Graph, coloring: str, query_set) -> Outcome | None:
     """Terminal outcome of the state obtained by answering `query_set`
     according to `coloring`, or None if that state is not terminal."""
-    parent = list(range(graph.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in query_set:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    diff: dict[int, int] = {}
-    members: dict[int, list[int]] = {}
-    for v in range(graph.n):
-        r = find(v)
-        diff[r] = diff.get(r, 0) + (1 if coloring[v] == RED else -1)
-        members.setdefault(r, []).append(v)
-    weights = {r: abs(s) for r, s in diff.items()}
-    total = sum(weights.values())
-    if total == 0:
+    parent, sums = _merge(_signs(coloring), query_set)
+    weights = list(map(abs, sums))
+    if not _settled(weights):
+        return None
+    top = max(weights)
+    if top == 0:
         return Outcome.no_majority()
-    top = max(weights, key=lambda r: (weights[r], -r))
-    if weights[top] > total - weights[top]:
-        want = RED if diff[top] > 0 else BLUE
-        return Outcome.majority_vertex(min(v for v in members[top] if coloring[v] == want))
-    return None
+    root = weights.index(top)
+    want = RED if sums[root] > 0 else BLUE
+    return Outcome.majority_vertex(
+        next(v for v, ch in enumerate(coloring) if ch == want and _find(parent, v) == root))
 
 
-def cert(graph: Graph, coloring: str, max_edges: int = 24) -> CertReport:
-    """Minimum certificate by exhaustive search in order of size."""
+def cert(graph: Graph, coloring: str) -> CertReport:
+    """Minimum certificate by exhaustive search in order of size: each edge
+    subset is tested by the signed sums of the components it induces."""
     check_solvable(graph)
     coloring = parse_coloring(coloring, graph.n)
     edges = graph.sorted_edges
-    if len(edges) > max_edges:
-        raise ValueError(f"brute-force certificate limited to {max_edges} edges")
+    if len(edges) > MAX_CERT_EDGES:
+        raise InputError(f"brute-force certificate limited to {MAX_CERT_EDGES} edges, "
+                         f"got {len(edges)}")
+    signs = _signs(coloring)
     for size in range(len(edges) + 1):
         for subset in itertools.combinations(edges, size):
-            outcome = induced_outcome(graph, coloring, subset)
-            if outcome is not None:
+            if _settled(list(map(abs, _merge(signs, subset)[1]))):
+                outcome = induced_outcome(graph, coloring, subset)
                 return CertReport(coloring, frozenset(subset), outcome, size)
     raise AssertionError("querying every edge certifies any solvable graph")
 
@@ -96,8 +125,8 @@ def m_nd(graph: Graph) -> int:
     """Worst-case certificate size over all colorings (up to global flip)."""
     check_solvable(graph)
     n = graph.n
-    if n > 16:
-        raise ValueError("coloring enumeration limited to n <= 16")
+    if n > MAX_MND_N:
+        raise InputError(f"coloring enumeration limited to n <= {MAX_MND_N}, got n = {n}")
     use_path_dp = is_path_in_order(graph)
     upper = n - len(graph.components())
     best = 0
@@ -112,13 +141,6 @@ def m_nd(graph: Graph) -> int:
 
 
 # -- exact certificates on paths ------------------------------------------
-
-
-def _prefix_diffs(coloring: str) -> list[int]:
-    d = [0]
-    for ch in coloring:
-        d.append(d[-1] + (1 if ch == RED else -1))
-    return d
 
 
 def _partition_tables(D: list[int]) -> tuple[list[list[int]], list[list[int]]]:
@@ -196,7 +218,7 @@ def path_cert(coloring: str) -> CertReport:
     graph = path_graph(n)
     if n == 1:
         return CertReport(coloring, frozenset(), coloring_outcome(coloring), 0)
-    D = _prefix_diffs(coloring)
+    D = list(itertools.accumulate(_signs(coloring), initial=0))
     best_cuts: list[int] | None = None
     if D[n] == 0:
         best_cuts = [i for i in range(1, n) if D[i] == 0]
@@ -270,7 +292,7 @@ def nondet_query_set(coloring: str) -> frozenset[Edge]:
         raise ValueError("construction defined for odd paths")
     if n == 1:
         return frozenset()
-    signs = [1 if ch == RED else -1 for ch in coloring]
+    signs = _signs(coloring)
     if sum(signs) < 0:
         signs = [-s for s in signs]
     cuts = _query_set_cuts(signs)
@@ -295,9 +317,7 @@ def _query_set_cuts(signs: list[int]) -> set[int]:
     if d * d >= n:
         q = n - math.ceil(d / 2)
         return set(range(q + 1, n))
-    D = [0]
-    for s in signs:
-        D.append(D[-1] + s)
+    D = list(itertools.accumulate(signs, initial=0))
     delta = max(abs(x) for x in D[1:])
     j = next(i for i in range(1, n + 1) if abs(D[i]) == delta)
     if D[j] < 0:

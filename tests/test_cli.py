@@ -8,7 +8,7 @@ import pytest
 from majority_game import cli
 from majority_game.cli import main
 from majority_game.core import StrategyError
-from majority_game.generators import path_graph
+from majority_game.generators import path_graph, random_tree, star_graph
 
 
 @pytest.fixture
@@ -128,6 +128,43 @@ def test_nondet_cert_on_path(capsys, tmp_path):
     code, out = run_cli(capsys, ["nondet", "cert", str(f), "RRBRR", "--json"])
     assert code == 0
     assert json.loads(out)["size"] == 2
+
+
+def test_nondet_brute_force_on_a_star_and_a_tree(capsys, tmp_path):
+    star = tmp_path / "star5.txt"
+    star.write_text(star_graph(5).to_text())
+    code, out = run_cli(capsys, ["nondet", "cert", str(star), "RBRBR", "--json"])
+    assert code == 0
+    assert json.loads(out) == {"coloring": "RBRBR", "query_set": [[0, 2], [0, 4]],
+                               "outcome": "OUTCOME MAJORITY 0", "size": 2}
+    star7 = tmp_path / "star7.txt"
+    star7.write_text(star_graph(7).to_text())
+    code, out = run_cli(capsys, ["nondet", "mnd", str(star7)])
+    assert code == 0
+    assert out == "m_nd = 4\n"
+
+
+def test_nondet_cert_rejects_too_many_edges(capsys, tmp_path):
+    f = tmp_path / "star26.txt"
+    f.write_text(star_graph(26).to_text())
+    code, out = run_cli(capsys, ["nondet", "cert", str(f), "R" * 26])
+    assert code == 2
+    assert out.startswith("error: ") and "24 edges" in out and len(out.splitlines()) == 1
+
+
+def test_nondet_mnd_rejects_too_many_vertices(capsys, tmp_path):
+    f = tmp_path / "t18.txt"
+    f.write_text(random_tree(18, 1).to_text())
+    code, out = run_cli(capsys, ["nondet", "mnd", str(f), "--json"])
+    assert code == 2
+    assert "n <= 16" in json.loads(out)["error"]
+
+
+def test_nondet_path_table_rejects_malformed_range(capsys):
+    for bad in ("3..x", "5"):
+        code, out = run_cli(capsys, ["nondet", "path-table", "--odd-n", bad])
+        assert code == 2
+        assert out == f"error: --odd-n {bad!r} is not a range lo..hi\n"
 
 
 def test_construct_verify(capsys):

@@ -1,15 +1,23 @@
 """Verification complexity: brute certificates, the path DP, constructions."""
 
+import itertools
 import math
 import random
 
 import pytest
 
 from majority_game.adversary import eventrees_coloring
-from majority_game.core import coloring_outcome
-from majority_game.generators import free_trees, path_graph, random_graph, star_graph
+from majority_game.core import BLUE, RED, Graph, Outcome, coloring_outcome, parse_coloring
+from majority_game.generators import (
+    complete_graph,
+    free_trees,
+    path_graph,
+    random_graph,
+    star_graph,
+)
 from majority_game.graphsolver import solve_graph
 from majority_game.nondet import (
+    CertReport,
     cert,
     induced_outcome,
     m_nd,
@@ -147,3 +155,88 @@ def test_mnd_rejects_unsolvable_and_oversized():
         m_nd(Graph.from_edges(4, [(0, 1), (2, 3)]))
     with pytest.raises(ValueError):
         cert(star_graph(26), "R" * 26)
+
+
+# -- reference copies of the earlier brute force -----------------------------
+# The union-find with a members dict that built an Outcome for every subset,
+# before `cert` tested subsets by their components' signed sums.
+
+
+def _ref_induced_outcome(graph, coloring, query_set):
+    parent = list(range(graph.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in query_set:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    diff = {}
+    members = {}
+    for v in range(graph.n):
+        r = find(v)
+        diff[r] = diff.get(r, 0) + (1 if coloring[v] == RED else -1)
+        members.setdefault(r, []).append(v)
+    weights = {r: abs(s) for r, s in diff.items()}
+    total = sum(weights.values())
+    if total == 0:
+        return Outcome.no_majority()
+    top = max(weights, key=lambda r: (weights[r], -r))
+    if weights[top] > total - weights[top]:
+        want = RED if diff[top] > 0 else BLUE
+        return Outcome.majority_vertex(min(v for v in members[top] if coloring[v] == want))
+    return None
+
+
+def _ref_cert(graph, coloring):
+    coloring = parse_coloring(coloring, graph.n)
+    edges = graph.sorted_edges
+    for size in range(len(edges) + 1):
+        for subset in itertools.combinations(edges, size):
+            outcome = _ref_induced_outcome(graph, coloring, subset)
+            if outcome is not None:
+                return CertReport(coloring, frozenset(subset), outcome, size)
+    raise AssertionError("querying every edge certifies any solvable graph")
+
+
+def _colorings(n):
+    """Every coloring with vertex 0 red."""
+    for bits in range(2 ** (n - 1)):
+        yield RED + "".join(RED if (bits >> i) & 1 else BLUE for i in range(n - 1))
+
+
+def _differential_graphs():
+    graphs = [t for n in range(1, 9) for t in free_trees(n)]
+    graphs += [path_graph(n) for n in range(1, 10)]
+    graphs += [complete_graph(4), Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])]
+    rng = random.Random(11)
+    cyclic = []
+    while len(cyclic) < 4:
+        n = rng.randint(5, 7)
+        g = random_graph(n, 0.5, seed=rng.randrange(10 ** 6))
+        # a cycle makes some query join two vertices that already share a root
+        if g.is_majority_solvable() and n <= len(g.edges) <= 10 and len(g.components()) == 1:
+            cyclic.append(g)
+    return graphs + cyclic
+
+
+def test_cert_matches_the_earlier_brute_force():
+    for g in _differential_graphs():
+        for coloring in _colorings(g.n):
+            assert cert(g, coloring) == _ref_cert(g, coloring), (g.sorted_edges, coloring)
+
+
+def test_induced_outcome_matches_the_earlier_union_find():
+    rng = random.Random(5)
+    for g in _differential_graphs():
+        edges = g.sorted_edges
+        colorings = list(_colorings(g.n))
+        for coloring in rng.sample(colorings, min(3, len(colorings))):
+            for size in range(len(edges) + 1):
+                for subset in itertools.combinations(edges, size):
+                    assert induced_outcome(g, coloring, subset) == _ref_induced_outcome(
+                        g, coloring, subset), (edges, coloring, subset)

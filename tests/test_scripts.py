@@ -22,3 +22,15 @@ def test_odd_path_table_smoke(capsys):
     assert [int(c[0]) for c in cells] == [3, 5, 7]
     assert [int(c[1]) for c in cells] == [n - popcount(n) for n in (3, 5, 7)]
     assert all(int(c[4]) > 0 and float(c[5]) >= 0 and float(c[6]) > 0 for c in cells)
+
+
+def test_search_open_questions_smoke(capsys):
+    argv = ["--max-tree-n", "7", "--max-total", "6", "--max-mnd-n", "7"]
+    assert load_script("search_open_questions").main(argv) == 0
+    out = capsys.readouterr().out
+    section = out.split("m_nd over odd free trees (n <= 7):\n")[1]
+    rows = [line.split(" (")[0] for line in section.splitlines()[:3]]
+    assert rows == ["  n=3: 1 with m_nd = 1",
+                    "  n=5: 2 with m_nd = 2, 1 with m_nd = 3",
+                    "  n=7: 11 with m_nd = 4"]
+    assert "n=7: worst gap so far n - m = 3" in out
