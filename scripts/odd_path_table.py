@@ -15,7 +15,7 @@ import time
 
 from majority_game.generators import path_graph
 from majority_game.graphsolver import solve_graph
-from majority_game.nondet import m_nd
+from majority_game.nondet import MAX_MND_N, m_nd
 
 
 def main(argv=None) -> int:
@@ -27,7 +27,7 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         g = path_graph(n)
         res = solve_graph(g, canonical="path")
-        nd = m_nd(g) if n <= 16 else "-"
+        nd = m_nd(g) if n <= MAX_MND_N else "-"
         saving = n - nd if isinstance(nd, int) else "-"
         seconds = time.perf_counter() - t0
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB

@@ -76,9 +76,10 @@ def _merge(signs: list[int], query_set) -> tuple[list[int], list[int]]:
     return parent, sums
 
 
-def _settled(weights: list[int]) -> bool:
+def _settled(sums: list[int]) -> bool:
     """A state is terminal iff every component is balanced or one outweighs
     all the others together."""
+    weights = list(map(abs, sums))
     total = sum(weights)
     return total == 0 or 2 * max(weights) > total
 
@@ -91,9 +92,9 @@ def induced_outcome(graph: Graph, coloring: str, query_set) -> Outcome | None:
     """Terminal outcome of the state obtained by answering `query_set`
     according to `coloring`, or None if that state is not terminal."""
     parent, sums = _merge(_signs(coloring), query_set)
-    weights = list(map(abs, sums))
-    if not _settled(weights):
+    if not _settled(sums):
         return None
+    weights = list(map(abs, sums))
     top = max(weights)
     if top == 0:
         return Outcome.no_majority()
@@ -115,7 +116,7 @@ def cert(graph: Graph, coloring: str) -> CertReport:
     signs = _signs(coloring)
     for size in range(len(edges) + 1):
         for subset in itertools.combinations(edges, size):
-            if _settled(list(map(abs, _merge(signs, subset)[1]))):
+            if _settled(_merge(signs, subset)[1]):
                 outcome = induced_outcome(graph, coloring, subset)
                 return CertReport(coloring, frozenset(subset), outcome, size)
     raise AssertionError("querying every edge certifies any solvable graph")
