@@ -217,6 +217,8 @@ def _cmd_nondet(args) -> int:
     lo, sep, hi = args.odd_n.partition("..")
     if not (sep and lo.isdecimal() and hi.isdecimal()):
         raise InputError(f"--odd-n {args.odd_n!r} is not a range lo..hi")
+    if int(hi) > nondet.MAX_MND_N:  # checked here, so that no row is computed in vain
+        raise InputError(f"--odd-n {args.odd_n!r} goes past n = {nondet.MAX_MND_N}")
     rows = []
     for n in range(int(lo), int(hi) + 1):
         if n % 2 == 0:

@@ -91,7 +91,7 @@ def _signs(coloring: str) -> list[int]:
 def induced_outcome(graph: Graph, coloring: str, query_set) -> Outcome | None:
     """Terminal outcome of the state obtained by answering `query_set`
     according to `coloring`, or None if that state is not terminal."""
-    parent, sums = _merge(_signs(coloring), query_set)
+    parent, sums = _merge(_signs(coloring[: graph.n]), query_set)
     if not _settled(sums):
         return None
     weights = list(map(abs, sums))

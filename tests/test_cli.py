@@ -165,6 +165,10 @@ def test_nondet_path_table_rejects_malformed_range(capsys):
         code, out = run_cli(capsys, ["nondet", "path-table", "--odd-n", bad])
         assert code == 2
         assert out == f"error: --odd-n {bad!r} is not a range lo..hi\n"
+    # rejected before P_11 and P_13 are enumerated, not after
+    code, out = run_cli(capsys, ["nondet", "path-table", "--odd-n", "11..17"])
+    assert code == 2
+    assert out == "error: --odd-n '11..17' goes past n = 16\n"
 
 
 def test_construct_verify(capsys):
