@@ -5,12 +5,14 @@ whatever the search finds.
   * reverse pair-merge: a non-hard (a, a, rest) whose merge (2a, rest) is
     hard would refute the reverse of the forward hardness propagation;
   * tree floor: search small odd trees for m(T) < n - 3;
-  * sparse optima: exact values of the hub construction vs its edge count;
+  * sparse optima: exact values of the hub construction vs its edge count,
+    and an exhaustive walk of its querier's answer tree for n = 4..N, which
+    proves m(G_n) <= n - b(n) wherever it passes;
   * verification complexity: the histogram of m_nd(T) over odd free trees,
     by brute-force certificates (the path DP covers only paths).
 
 Usage: python3 scripts/search_open_questions.py [--max-tree-n 11] [--max-total 12]
-           [--max-mnd-n 9]
+           [--max-mnd-n 9] [--max-verify-n 16]
 """
 
 import argparse
@@ -18,7 +20,7 @@ import time
 from collections import Counter
 
 from majority_game.bounds import popcount, search_obs_reverse_counterexample
-from majority_game.constructions import build_minedge_graph
+from majority_game.constructions import build_minedge_graph, minedge_querier, verify_querier
 from majority_game.generators import free_trees
 from majority_game.graphsolver import solve_graph
 from majority_game.nondet import m_nd
@@ -29,6 +31,7 @@ def main(argv=None) -> int:
     parser.add_argument("--max-tree-n", type=int, default=11)
     parser.add_argument("--max-total", type=int, default=12)
     parser.add_argument("--max-mnd-n", type=int, default=9)
+    parser.add_argument("--max-verify-n", type=int, default=16)
     args = parser.parse_args(argv)
 
     t0 = time.time()
@@ -59,6 +62,16 @@ def main(argv=None) -> int:
         m = solve_graph(built.graph).value
         print(f"  n={n}: edges {len(built.graph.edges)} <= {n * (1 + popcount(n))},"
               f" m = {m} = n - b(n): {m == n - popcount(n)}")
+
+    print(f"\nhub construction answer trees (n <= {args.max_verify_n}):")
+    for n in range(4, args.max_verify_n + 1):
+        start = time.time()
+        budget = n - popcount(n)
+        report = verify_querier(build_minedge_graph(n).graph, minedge_querier(n), budget)
+        verdict = "pass" if report.passed else f"FAIL at {report.failure_path}"
+        print(f"  n={n}: {verdict}, {report.leaves_checked} leaves,"
+              f" max {report.max_queries} queries vs n - b(n) = {budget}"
+              f" ({time.time() - start:.1f}s)", flush=True)
 
     print(f"\nm_nd over odd free trees (n <= {args.max_mnd_n}):")
     for n in range(3, args.max_mnd_n + 1, 2):

@@ -22,6 +22,7 @@ from .bounds import popcount
 from .core import (
     Edge,
     Graph,
+    InputError,
     QueryState,
     apply_query,
     initial_state,
@@ -43,7 +44,7 @@ class LabeledConstruction:
 def build_F(k: int) -> Graph:
     """Path on k vertices with a degree-one leaf attached to each."""
     if k < 1:
-        raise ValueError("k must be positive")
+        raise InputError("k must be positive")
     edges = [(i, i + 1) for i in range(k - 1)]
     edges += [(i, k + i) for i in range(k)]
     return Graph.from_edges(2 * k, edges)
@@ -52,7 +53,7 @@ def build_F(k: int) -> Graph:
 def build_minedge_graph(n: int) -> LabeledConstruction:
     """The n-vertex construction with at most n(1+b(n)) edges."""
     if n < 2:
-        raise ValueError("n must be at least 2")
+        raise InputError("n must be at least 2")
     k = n // 2
     b = popcount(n)
     hubs_count = min(b, k)
@@ -124,6 +125,16 @@ class MinedgeQuerier:
         self.k = n // 2
         self.b_eff = len(self.construction.hubs)
         self._endgame_solver = None
+        self._schedules: dict[tuple[tuple[int, ...], tuple[int, ...]], list[Edge]] = {}
+
+    def _schedule(self, path_vs, leaf_vs) -> list[Edge]:
+        """``algorithm_a_queries`` on a copy of the construction, built and
+        checked once per querier."""
+        key = (tuple(path_vs), tuple(leaf_vs))
+        seq = self._schedules.get(key)
+        if seq is None:
+            seq = self._schedules[key] = algorithm_a_queries(self.construction.graph, *key)
+        return seq
 
     def _copy_for(self, anchor_pos: int, j: int) -> tuple[list[int], list[int]]:
         """Copy anchored at path position anchor_pos (1-based) with the
@@ -139,7 +150,6 @@ class MinedgeQuerier:
         return path_vs, leaf_vs
 
     def __call__(self, state: QueryState) -> Edge:
-        graph = self.construction.graph
         queried = state.queried
         used_by_steps: set[int] = set()
         j = 1
@@ -149,7 +159,7 @@ class MinedgeQuerier:
             if anchor_v in used_by_steps and j > anchor_pos:
                 break  # hub consumed by an earlier block: steps are over
             path_vs, leaf_vs = self._copy_for(anchor_pos, j)
-            seq = algorithm_a_queries(graph, path_vs, leaf_vs)
+            seq = self._schedule(path_vs, leaf_vs)
             ended = False
             for t, q in enumerate(seq):
                 if q not in queried:
@@ -180,7 +190,6 @@ class MinedgeQuerier:
         same doubling schedule, largest power-of-two blocks first.  This
         keeps every component order a power of two, which is what bounds
         the total number of queries by n - b(n)."""
-        graph = self.construction.graph
         queried = state.queried
         k = self.k
         fresh = [p for p in range(1, k + 1) if (p - 1) not in used_steps]
@@ -199,7 +208,7 @@ class MinedgeQuerier:
                 positions = list(range(j, j + size))
                 path_vs = [p - 1 for p in positions]
                 leaf_vs = [k + p - 1 for p in positions]
-                seq = algorithm_a_queries(graph, path_vs, leaf_vs)
+                seq = self._schedule(path_vs, leaf_vs)
                 advanced = None
                 for t, q in enumerate(seq):
                     if q not in queried:

@@ -254,26 +254,6 @@ def component_weights(state: QueryState) -> tuple[int, ...]:
     return tuple(sorted((c.weight for c in state.components), reverse=True))
 
 
-def count_consistent(state: QueryState) -> int:
-    return 2 ** len(state.components)
-
-def consistent_colorings(state: QueryState):
-    """Yield every coloring consistent with the answers, each exactly once.
-
-    One coloring per per-component flip choice; 2^(#components) in total.
-    """
-    comps = state.components
-    for flips in itertools.product((False, True), repeat=len(comps)):
-        colors = [RED] * state.graph.n
-        for comp, flip in zip(comps, flips):
-            a_color, b_color = (BLUE, RED) if flip else (RED, BLUE)
-            for x in comp.side_a:
-                colors[x] = a_color
-            for x in comp.side_b:
-                colors[x] = b_color
-        yield "".join(colors)
-
-
 def terminal_outcome(state: QueryState) -> Outcome | None:
     """The game's outcome if it is decided, else None.
 
@@ -302,16 +282,25 @@ def coloring_outcome(coloring: str) -> Outcome:
 
 
 def outcome_valid(state: QueryState, outcome: Outcome) -> bool:
-    """Check an outcome claim against every consistent coloring."""
-    n = state.graph.n
-    for coloring in consistent_colorings(state):
-        r = coloring.count(RED)
-        if outcome.majority is None:
-            if 2 * r != n:
-                return False
-        else:
-            mine = coloring[outcome.majority]
-            cnt = r if mine == RED else n - r
-            if 2 * cnt <= n:
-                return False
-    return True
+    """Check an outcome claim against every consistent coloring, by signed
+    sums.
+
+    A consistent coloring picks the red side of each component, so its
+    red-minus-blue difference is a signed sum of the component weights;
+    the colorings are checked grouped by that difference, one key of
+    ``weighted.signed_sum_counts`` each.  No majority holds iff the only
+    signed sum of all the weights is 0.  Vertex v's color is the majority
+    iff d + s > 0 for every signed sum s of the other components' weights,
+    where d is the size of v's side of its component minus the other's.
+    """
+    from .weighted import signed_sum_counts
+
+    if outcome.majority is None:
+        return set(signed_sum_counts(c.weight for c in state.components)) == {0}
+    i = state.component_index(outcome.majority)
+    comp = state.components[i]
+    d = len(comp.side_a) - len(comp.side_b)
+    if outcome.majority in comp.side_b:
+        d = -d
+    others = (c.weight for j, c in enumerate(state.components) if j != i)
+    return all(d + s > 0 for s in signed_sum_counts(others))

@@ -43,6 +43,12 @@ The table has two kinds of entry: exact values, which answer every
 lookup, and lower bounds from nodes that found no move below their beta,
 which answer a lookup whose cutoff they reach and otherwise seed the
 re-search.  Both kinds count towards ``table_cap``.
+
+``best_query`` names the move: it first takes the state's exact value V,
+then walks the graph's edges in sorted order, one per component pair, and
+returns the first edge whose both answers leave a state below V, each
+searched with the cutoff V.  That is the smallest edge across an optimal
+pair, and no pair after it is searched.
 """
 
 from __future__ import annotations
@@ -330,29 +336,34 @@ class GraphSolver:
         return SolveResult(value, self.nodes, ms, self.canonical, entries, len(self.bound_table))
 
     def best_query(self, state: QueryState) -> Edge:
-        """Optimal move in a state; ties go to the smallest canonical edge."""
+        """Optimal move in a state; ties go to the smallest canonical edge.
+
+        A component pair meets the state's value V iff both of its answers
+        leave a state worth less than V, so each child is searched with the
+        cutoff V, and the first edge in sorted order across such a pair is
+        returned."""
         codes = encode_state(state)
         if _terminal(codes, self.wmask):
             raise StrategyError("state is terminal; no query needed")
         view = GameView(self.graph, codes)
         nbrs, cnt = self._carried(view)
+        value = self._value(codes, nbrs, cnt, self.n)  # every value is below n
         vc, units = view.vertex_comp, self.units
-        pairs: dict[tuple[int, int], Edge] = {}  # the smallest edge across each pair
+        tried: set[tuple[int, int]] = set()
         for u, v in self.edges:
-            a, b = vc[u], vc[v]
-            if a != b:
-                pairs.setdefault((a, b) if a < b else (b, a), (u, v))
-        pair_value: dict[Edge, int] = {}
-        for (i, j), edge in pairs.items():
+            i, j = (vc[u], vc[v]) if vc[u] < vc[v] else (vc[v], vc[u])
+            if i == j or (i, j) in tried:
+                continue
+            tried.add((i, j))
             wi, wj = view.weights[i], view.weights[j]
             child_nbrs = _merge_nbrs(nbrs, i, j, view.masks[i] | view.masks[j])
             rest = cnt - units[wi] - units[wj]
-            pair_value[edge] = 1 + max(
-                self._value(_merge_codes(codes, i, j, w, self.shift), child_nbrs, rest + units[w], self.n)
+            if all(
+                self._value(_merge_codes(codes, i, j, w, self.shift), child_nbrs, rest + units[w], value) < value
                 for w in (wi + wj, abs(wi - wj))
-            )
-        target = min(pair_value.values())
-        return min(edge for edge, value in pair_value.items() if value == target)
+            ):
+                return (u, v)
+        raise StrategyError("no query meets the state's value")
 
 
 def solve_graph(graph: Graph, canonical: str = "auto", table_cap: int | None = None) -> SolveResult:

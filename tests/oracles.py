@@ -1,0 +1,89 @@
+"""Slow, independent oracles that the tests compare the library against,
+and the atlas inputs that several differential tests share.
+
+* the string enumeration of the colorings consistent with a state, and the
+  outcome check that counts the reds of each one;
+* the all-pairs ``best_query``: search both answers of every component pair
+  exactly, then take the smallest edge across a pair of least value.
+"""
+
+import itertools
+
+import pytest
+
+from majority_game.core import BLUE, RED, Graph, QueryState
+from majority_game.graphsolver import GameView, _merge_codes, _merge_nbrs, encode_state
+
+
+def count_consistent(state: QueryState) -> int:
+    return 2 ** len(state.components)
+
+
+def consistent_colorings(state: QueryState):
+    """Yield every coloring consistent with the answers, each exactly once.
+
+    One coloring per per-component flip choice; 2^(#components) in total.
+    """
+    comps = state.components
+    for flips in itertools.product((False, True), repeat=len(comps)):
+        colors = [RED] * state.graph.n
+        for comp, flip in zip(comps, flips):
+            a_color, b_color = (BLUE, RED) if flip else (RED, BLUE)
+            for x in comp.side_a:
+                colors[x] = a_color
+            for x in comp.side_b:
+                colors[x] = b_color
+        yield "".join(colors)
+
+
+def outcome_valid_by_enumeration(state: QueryState, outcome) -> bool:
+    """Check an outcome claim against every consistent coloring."""
+    n = state.graph.n
+    for coloring in consistent_colorings(state):
+        r = coloring.count(RED)
+        if outcome.majority is None:
+            if 2 * r != n:
+                return False
+        else:
+            mine = coloring[outcome.majority]
+            cnt = r if mine == RED else n - r
+            if 2 * cnt <= n:
+                return False
+    return True
+
+
+def all_pairs_best_query(solver, state: QueryState):
+    """Optimal move in a non-terminal state; ties go to the smallest edge."""
+    codes = encode_state(state)
+    view = GameView(solver.graph, codes)
+    nbrs, cnt = solver._carried(view)
+    vc, units = view.vertex_comp, solver.units
+    pairs = {}  # the smallest edge across each pair
+    for u, v in solver.edges:
+        a, b = vc[u], vc[v]
+        if a != b:
+            pairs.setdefault((a, b) if a < b else (b, a), (u, v))
+    pair_value = {}
+    for (i, j), edge in pairs.items():
+        wi, wj = view.weights[i], view.weights[j]
+        child_nbrs = _merge_nbrs(nbrs, i, j, view.masks[i] | view.masks[j])
+        rest = cnt - units[wi] - units[wj]
+        pair_value[edge] = 1 + max(
+            solver._value(_merge_codes(codes, i, j, w, solver.shift), child_nbrs, rest + units[w], solver.n)
+            for w in (wi + wj, abs(wi - wj))
+        )
+    target = min(pair_value.values())
+    return min(edge for edge, value in pair_value.items() if value == target)
+
+
+def atlas_graphs(max_n):
+    """The solvable graphs of the networkx atlas (every graph on at most
+    seven vertices, up to isomorphism) with at most max_n vertices."""
+    nx = pytest.importorskip("networkx")
+    out = []
+    for g in nx.graph_atlas_g():
+        n = g.number_of_nodes()
+        graph = Graph.from_edges(n, g.edges())
+        if n <= max_n and graph.is_majority_solvable():
+            out.append(graph)
+    return out

@@ -178,6 +178,24 @@ def test_construct_verify(capsys):
     assert payload["pass"] is True and payload["max_queries"] == 7
 
 
+def test_generate_minedge_rejects_n_below_two(capsys):
+    code, out = run_cli(capsys, ["generate", "minedge", "1"])
+    assert code == 2
+    assert out == "error: n must be at least 2\n"
+
+
+def test_construct_minedge_rejects_n_below_two(capsys):
+    code, out = run_cli(capsys, ["construct", "minedge", "1"])
+    assert code == 2
+    assert out == "error: n must be at least 2\n"
+
+
+def test_verify_minedge_rejects_n_below_two(capsys):
+    code, out = run_cli(capsys, ["verify", "minedge", "--n", "1", "--json"])
+    assert code == 2
+    assert json.loads(out) == {"error": "n must be at least 2"}
+
+
 def test_construct_graph_emission(capsys):
     code, out = run_cli(capsys, ["construct", "minedge", "6"])
     assert code == 0

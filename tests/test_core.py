@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import consistent_colorings, count_consistent
 
 from majority_game.core import (
     Answer,
@@ -11,8 +12,6 @@ from majority_game.core import (
     IllegalQueryError,
     apply_query,
     component_weights,
-    consistent_colorings,
-    count_consistent,
     initial_state,
     outcome_valid,
     terminal_outcome,

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from oracles import atlas_graphs
 
 from majority_game.adversary import (
     AlwaysSameAdversary,
@@ -375,19 +376,6 @@ def test_merge_codes_matches_a_full_sort():
 
 
 # -- differential sweep over every small graph ---------------------------
-
-
-def atlas_graphs(max_n):
-    """The solvable graphs of the networkx atlas (every graph on at most
-    seven vertices, up to isomorphism) with at most max_n vertices."""
-    nx = pytest.importorskip("networkx")
-    out = []
-    for g in nx.graph_atlas_g():
-        n = g.number_of_nodes()
-        graph = Graph.from_edges(n, g.edges())
-        if n <= max_n and graph.is_majority_solvable():
-            out.append(graph)
-    return out
 
 
 def test_atlas_matches_split_level_oracle():

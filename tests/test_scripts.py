@@ -25,9 +25,13 @@ def test_odd_path_table_smoke(capsys):
 
 
 def test_search_open_questions_smoke(capsys):
-    argv = ["--max-tree-n", "7", "--max-total", "6", "--max-mnd-n", "7"]
+    argv = ["--max-tree-n", "7", "--max-total", "6", "--max-mnd-n", "7", "--max-verify-n", "8"]
     assert load_script("search_open_questions").main(argv) == 0
     out = capsys.readouterr().out
+    section = out.split("hub construction answer trees (n <= 8):\n")[1]
+    rows = [line.split(" (")[0] for line in section.splitlines()[:5]]
+    assert rows == [f"  n={n}: pass, {leaves} leaves, max {n - popcount(n)} queries vs n - b(n) = {n - popcount(n)}"
+                    for n, leaves in [(4, 5), (5, 5), (6, 11), (7, 11), (8, 30)]]
     section = out.split("m_nd over odd free trees (n <= 7):\n")[1]
     rows = [line.split(" (")[0] for line in section.splitlines()[:3]]
     assert rows == ["  n=3: 1 with m_nd = 1",
