@@ -153,47 +153,43 @@ def _suly1(w: WeightVector, certs: list[Certificate]) -> None:
             break
 
 
-def _suly1forma(w: WeightVector, certs: list[Certificate]) -> None:
-    """Equal-head lemma.  Part (i): an odd number of signed partitions of
-    the remaining balls hits difference a*2^n.  Part (ii): with one ball
-    held fixed, an odd number of signed sums of the rest lands in the
-    half-open window (-a*2^n, a*2^n]; this is the exact condition under
-    which the proof's majority count is odd."""
-    k, total = len(w), sum(w)
-    distinct = sorted(set(w), reverse=True)
-    got_i = got_ii = False
-    for a in distinct:
-        cnt_a = w.count(a)
-        for p2 in _powers_of_two_up_to(cnt_a):
-            n = p2.bit_length() - 1
-            if k <= p2 + 1:
-                continue
-            rest = list(w)
-            for _ in range(p2):
-                rest.remove(a)
-            counts = signed_sum_counts(rest)
-            if not got_i and counts.get(a * p2, 0) % 2 == 1:
-                certs.append(Certificate(k - 1, CertificateSource.SULY1FORMA_I, {"n": n, "head": a}))
-                got_i = True
-            if not got_ii:
-                lo, hi = -a * p2, a * p2
-                for t in sorted(set(rest), reverse=True):
-                    others = list(rest)
-                    others.remove(t)
-                    inside = sum(
-                        c for s, c in signed_sum_counts(others).items() if lo < t + s <= hi
-                    )
-                    if inside % 2 == 1:
-                        certs.append(
-                            Certificate(
-                                k - 2,
-                                CertificateSource.SULY1FORMA_II,
-                                {"n": n, "head": a, "fixed_ball": t},
-                            )
-                        )
-                        got_ii = True
-                        break
-            if got_i and got_ii:
+def _equal_heads(w: WeightVector):
+    """Each head of p2 = 2^n equal balls of weight a that leaves at least two
+    other balls, as (a, p2, n, rest)."""
+    for a in sorted(set(w), reverse=True):
+        for p2 in _powers_of_two_up_to(w.count(a)):
+            if len(w) > p2 + 1:
+                rest = list(w)
+                for _ in range(p2):
+                    rest.remove(a)
+                yield a, p2, p2.bit_length() - 1, rest
+
+
+def _suly1forma_i(w: WeightVector, certs: list[Certificate]) -> None:
+    """Equal-head lemma, part (i): an odd number of signed partitions of the
+    remaining balls hits difference a*2^n.  A signed sum of the rest has the
+    parity of total - a*2^n, so this needs an even total."""
+    for a, p2, n, rest in _equal_heads(w):
+        if signed_sum_counts(rest).get(a * p2, 0) % 2 == 1:
+            certs.append(Certificate(len(w) - 1, CertificateSource.SULY1FORMA_I, {"n": n, "head": a}))
+            return
+
+
+def _suly1forma_ii(w: WeightVector, certs: list[Certificate]) -> None:
+    """Equal-head lemma, part (ii): with one ball held fixed, an odd number
+    of signed sums of the rest lands in the half-open window
+    (-a*2^n, a*2^n]; this is the exact condition under which the proof's
+    majority count is odd."""
+    for a, p2, n, rest in _equal_heads(w):
+        lo, hi = -a * p2, a * p2
+        for t in sorted(set(rest), reverse=True):
+            others = list(rest)
+            others.remove(t)
+            inside = sum(c for s, c in signed_sum_counts(others).items() if lo < t + s <= hi)
+            if inside % 2 == 1:
+                certs.append(
+                    Certificate(len(w) - 2, CertificateSource.SULY1FORMA_II, {"n": n, "head": a, "fixed_ball": t})
+                )
                 return
 
 
@@ -284,10 +280,18 @@ def hard_level(w) -> int:
 
 def _base_hard_certificate(w: WeightVector) -> Certificate | None:
     """A certificate proving the zero-free vector w is hard, if one of the
-    equality-grade lemma hypotheses holds."""
+    equality-grade lemma hypotheses holds.
+
+    Only a bound equal to `hard_level` counts.  The equal-head lemma's part
+    (i) concludes k-1 and holds only on an even total; part (ii) concludes
+    k-2, the level of an odd total.  So only the part that can reach the
+    level is checked."""
     certs: list[Certificate] = []
     _suly1(w, certs)
-    _suly1forma(w, certs)
+    if sum(w) % 2 == 0:
+        _suly1forma_i(w, certs)
+    else:
+        _suly1forma_ii(w, certs)
     _suly2(w, certs)
     level = hard_level(w)
     for c in certs:
@@ -340,7 +344,8 @@ def certify_lower_bound(weights) -> list[Certificate]:
         return []
     certs: list[Certificate] = []
     _suly1(w, certs)
-    _suly1forma(w, certs)
+    _suly1forma_i(w, certs)
+    _suly1forma_ii(w, certs)
     _suly1cor(w, certs)
     _suly2(w, certs)
     _suly2cor(w, certs)

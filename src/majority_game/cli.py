@@ -47,7 +47,13 @@ def _cmd_solve_weighted(args) -> int:
     w = _parse_vector(args.vector)
     value = weighted.solve_weighted(w)
     q = weighted.optimal_query(w)
-    payload = {"k": len(w), "total": sum(w), "value": value, "first_query": q}
+    payload = {
+        "k": len(w),
+        "total": sum(w),
+        "value": value,
+        "first_query": q,
+        "memo_states": weighted.cache_info()["size"],
+    }
     _emit(payload, args.json, f"m{tuple(w)} = {value}  (an optimal first query: {q})")
     return 0
 

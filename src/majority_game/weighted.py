@@ -6,9 +6,13 @@ merges them into one of weight w_i + w_j (SAME) or |w_i - w_j| (DIFF); the
 adversary picks the answer.  The game ends when either all weights are zero
 (no majority) or one ball outweighs all others combined (that ball's color
 class is the majority).  `solve_weighted` computes the exact worst-case
-query count by memoized minimax over weight multisets.  `signed_sum_counts`
-is the one signed-sum counter: relevance here and every counting bound in
-`bounds` read it.
+query count by memoized minimax over weight multisets; a move's SAME
+child is not searched once its DIFF child shows that the move cannot win,
+and the memo holds only exact values.  `signed_sum_counts` is the one
+signed-sum counter: relevance here and every counting bound in `bounds`
+read it.  Every signed sum has the parity of the total, so the hardness
+search in `bounds` checks the equal-head lemma's part (i), which needs a
+signed sum a*2^n of the balls outside the head, only on an even total.
 """
 
 from __future__ import annotations
@@ -112,21 +116,26 @@ def clear() -> None:
 def _solve(w: WeightVector) -> int:
     """Minimax value on a sorted, zero-free weight multiset.
 
-    The memo tolerates concurrent duplicate inserts: values are
-    deterministic, so racing writers store the same number.
+    Each move solves its DIFF child first: when that child alone already
+    makes the move no better than `best`, the SAME child is skipped.  Every
+    child that is searched is solved in full, so the memo holds only exact
+    values.  Successors of a zero-free vector are zero-free.
     """
     cached = _memo.get(w)
     if cached is not None:
         return cached
-    if weighted_terminal(w) is not None:
+    if not w or 2 * w[0] > sum(w):  # the terminal test of weighted_terminal
         _memo[w] = 0
         return 0
     best = len(w) - 1  # query everything but one ball always suffices
     for a, b in _value_pairs(w):
         plus, minus = successors(w, a, b)
-        v = 1 + max(_solve(strip_zeros(plus)), _solve(strip_zeros(minus)))
-        if v < best:
-            best = v
+        m = _solve(minus)
+        if 1 + m >= best:
+            continue
+        p = _solve(plus)
+        if 1 + p < best:
+            best = 1 + max(m, p)
     _memo[w] = best
     return best
 

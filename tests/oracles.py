@@ -4,15 +4,26 @@ and the atlas inputs that several differential tests share.
 * the string enumeration of the colorings consistent with a state, and the
   outcome check that counts the reds of each one;
 * the all-pairs ``best_query``: search both answers of every component pair
-  exactly, then take the smallest edge across a pair of least value.
+  exactly, then take the smallest edge across a pair of least value;
+* the hardness base check that runs both parts of the equal-head lemma on
+  every vector, whatever the parity of its total.
 """
 
 import itertools
 
 import pytest
 
+from majority_game.bounds import (
+    Certificate,
+    CertificateSource,
+    _powers_of_two_up_to,
+    _suly1,
+    _suly2,
+    hard_level,
+)
 from majority_game.core import BLUE, RED, Graph, QueryState
 from majority_game.graphsolver import GameView, _merge_codes, _merge_nbrs, encode_state
+from majority_game.weighted import signed_sum_counts
 
 
 def count_consistent(state: QueryState) -> int:
@@ -87,3 +98,46 @@ def atlas_graphs(max_n):
         if n <= max_n and graph.is_majority_solvable():
             out.append(graph)
     return out
+
+
+def suly1forma_both_parts(w, certs):
+    """Equal-head lemma, both parts in one pass over the heads."""
+    k = len(w)
+    got_i = got_ii = False
+    for a in sorted(set(w), reverse=True):
+        for p2 in _powers_of_two_up_to(w.count(a)):
+            n = p2.bit_length() - 1
+            if k <= p2 + 1:
+                continue
+            rest = list(w)
+            for _ in range(p2):
+                rest.remove(a)
+            counts = signed_sum_counts(rest)
+            if not got_i and counts.get(a * p2, 0) % 2 == 1:
+                certs.append(Certificate(k - 1, CertificateSource.SULY1FORMA_I, {"n": n, "head": a}))
+                got_i = True
+            if not got_ii:
+                lo, hi = -a * p2, a * p2
+                for t in sorted(set(rest), reverse=True):
+                    others = list(rest)
+                    others.remove(t)
+                    inside = sum(c for s, c in signed_sum_counts(others).items() if lo < t + s <= hi)
+                    if inside % 2 == 1:
+                        certs.append(
+                            Certificate(k - 2, CertificateSource.SULY1FORMA_II, {"n": n, "head": a, "fixed_ball": t})
+                        )
+                        got_ii = True
+                        break
+            if got_i and got_ii:
+                return
+
+
+def base_hard_certificate_both_parts(w):
+    """The first certificate at the hard level among the unit-head lemma,
+    both equal-head parts and the power-of-two-head lemma, or None."""
+    certs = []
+    _suly1(w, certs)
+    suly1forma_both_parts(w, certs)
+    _suly2(w, certs)
+    level = hard_level(w)
+    return next((c for c in certs if c.bound == level), None)

@@ -4,7 +4,9 @@ import math
 import random
 
 import pytest
+from oracles import base_hard_certificate_both_parts
 
+from majority_game import bounds
 from majority_game.bounds import (
     MU_INFINITE,
     CertificateSource,
@@ -19,7 +21,7 @@ from majority_game.bounds import (
     signed_sum_counts,
     two_adic_valuation,
 )
-from majority_game.weighted import solve_weighted, weighted_terminal
+from majority_game.weighted import solve_weighted, weight_multisets, weighted_terminal
 
 
 @pytest.mark.parametrize("n,expected", [(7, 3), (8, 1), (13, 3), (0, 0), (1, 1)])
@@ -158,3 +160,32 @@ def test_obs_reverse_search_runs():
     if result is not None:
         w, merged = result
         assert is_hard(merged) and not is_hard(w)
+
+
+def c5_vectors(seed=0):
+    """The 500 vectors that criterion C5 draws at `seed`."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(500):
+        k = rng.randint(1, 8)
+        out.append(tuple(sorted((rng.randint(0, 10) for _ in range(k)), reverse=True)))
+    return out
+
+
+def test_hardness_base_check_matches_both_equal_head_parts(monkeypatch):
+    # the base check runs only the equal-head part that can reach the hard
+    # level; running both must give the same certificate, or None
+    visited = []
+    base = bounds._base_hard_certificate
+
+    def recording(w):
+        visited.append(w)
+        return base(w)
+
+    monkeypatch.setattr(bounds, "_base_hard_certificate", recording)
+    for w in c5_vectors():
+        certify_lower_bound(w)
+    monkeypatch.undo()
+    assert len(visited) > 1000
+    for w in dict.fromkeys(weight_multisets(14) + visited):
+        assert base(w) == base_hard_certificate_both_parts(w), w

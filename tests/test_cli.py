@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from majority_game import cli
+from majority_game import cli, weighted
 from majority_game.cli import main
 from majority_game.core import StrategyError
 from majority_game.generators import path_graph, random_tree, star_graph
@@ -29,6 +29,18 @@ def test_solve_weighted_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == 4 and payload["k"] == 5
+
+
+def test_solve_weighted_json_reports_memo_states(capsys):
+    # the memo is shared by the process: empty it so both runs start cold
+    states = []
+    for _ in range(2):
+        weighted.clear()
+        code, out = run_cli(capsys, ["solve-weighted", "3,3,7,8,9", "--json"])
+        assert code == 0
+        states.append(json.loads(out)["memo_states"])
+    assert isinstance(states[0], int) and states[0] > 0
+    assert states[0] == states[1]
 
 
 def test_solve_graph_from_file(capsys, path6_file):

@@ -54,14 +54,20 @@ def all_vectors(max_sum):
 
 
 def test_solver_matches_naive_oracle():
-    for w in all_vectors(9):
-        assert solve_weighted(w) == naive_value(w), w
-    # a few vectors with zero-weight balls
-    for w in [(0,), (0, 0), (3, 0), (2, 1, 0), (1, 1, 1, 0, 0)]:
-        assert solve_weighted(w) == naive_value(tuple(sorted(w)))
+    # from a cold memo, so no entry left by another test can hide a wrong one,
+    # largest first, so that the recursion, not this loop, fills the memo
+    weighted.clear()
+    for w in reversed(list(all_vectors(10))):
+        for v in (w, w + (0,)):
+            assert solve_weighted(v) == naive_value(tuple(sorted(v))), v
+    for w in [(0,), (0, 0), (1, 1, 1, 0, 0)]:
+        assert solve_weighted(w) == naive_value(w)
+    # the SAME child is skipped when a move cannot win, never solved in part
+    for key, value in weighted._memo.items():
+        assert value == naive_value(tuple(sorted(key))), key
 
 
-@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("k", range(1, 25))
 def test_all_ones_value(k):
     assert solve_weighted((1,) * k) == k - popcount(k)
 
