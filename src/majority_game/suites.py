@@ -189,13 +189,20 @@ def criterion_4() -> list[CheckRecord]:
 # -- criterion 5: bound soundness -------------------------------------------
 
 
-def criterion_5(seed: int = 0) -> list[CheckRecord]:
+def c5_vectors(seed: int = 0) -> list[tuple[int, ...]]:
+    """Criterion 5's 500 random vectors: k in 1..8, entries 0..10."""
     rng = random.Random(seed)
-    unsound = []
-    mu_mismatch = []
+    out = []
     for _ in range(500):
         k = rng.randint(1, 8)
-        w = tuple(sorted((rng.randint(0, 10) for _ in range(k)), reverse=True))
+        out.append(tuple(sorted((rng.randint(0, 10) for _ in range(k)), reverse=True)))
+    return out
+
+
+def criterion_5(seed: int = 0) -> list[CheckRecord]:
+    unsound = []
+    mu_mismatch = []
+    for w in c5_vectors(seed):
         m = weighted.solve_weighted(w)
         d = bounds.dectree_bound(w)
         if d.bound > m:

@@ -21,6 +21,7 @@ from majority_game.bounds import (
     signed_sum_counts,
     two_adic_valuation,
 )
+from majority_game.suites import c5_vectors
 from majority_game.weighted import solve_weighted, weight_multisets, weighted_terminal
 
 
@@ -160,16 +161,6 @@ def test_obs_reverse_search_runs():
     if result is not None:
         w, merged = result
         assert is_hard(merged) and not is_hard(w)
-
-
-def c5_vectors(seed=0):
-    """The 500 vectors that criterion C5 draws at `seed`."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(500):
-        k = rng.randint(1, 8)
-        out.append(tuple(sorted((rng.randint(0, 10) for _ in range(k)), reverse=True)))
-    return out
 
 
 def test_hardness_base_check_matches_both_equal_head_parts(monkeypatch):
