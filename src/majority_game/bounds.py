@@ -22,6 +22,7 @@ from .weighted import (
     WeightVector,
     normalize,
     signed_sum_counts,
+    signed_sum_parity,
     solve_weighted,
     strip_zeros,
     weight_multisets,
@@ -168,9 +169,11 @@ def _equal_heads(w: WeightVector):
 def _suly1forma_i(w: WeightVector, certs: list[Certificate]) -> None:
     """Equal-head lemma, part (i): an odd number of signed partitions of the
     remaining balls hits difference a*2^n.  A signed sum of the rest has the
-    parity of total - a*2^n, so this needs an even total."""
+    parity of total - a*2^n, so this needs an even total.  Only the parity
+    is read: `signed_sum_parity` over the window (a*2^n - 1, a*2^n], from
+    the product of (1 + X^w) over GF(2)."""
     for a, p2, n, rest in _equal_heads(w):
-        if signed_sum_counts(rest).get(a * p2, 0) % 2 == 1:
+        if signed_sum_parity(rest, a * p2 - 1, a * p2):
             certs.append(Certificate(len(w) - 1, CertificateSource.SULY1FORMA_I, {"n": n, "head": a}))
             return
 
@@ -179,14 +182,14 @@ def _suly1forma_ii(w: WeightVector, certs: list[Certificate]) -> None:
     """Equal-head lemma, part (ii): with one ball held fixed, an odd number
     of signed sums of the rest lands in the half-open window
     (-a*2^n, a*2^n]; this is the exact condition under which the proof's
-    majority count is odd."""
+    majority count is odd.  Only the parity is read: `signed_sum_parity`
+    over the shifted window (-a*2^n - t, a*2^n - t] for the fixed ball t,
+    from the product of (1 + X^w) over GF(2)."""
     for a, p2, n, rest in _equal_heads(w):
-        lo, hi = -a * p2, a * p2
         for t in sorted(set(rest), reverse=True):
             others = list(rest)
             others.remove(t)
-            inside = sum(c for s, c in signed_sum_counts(others).items() if lo < t + s <= hi)
-            if inside % 2 == 1:
+            if signed_sum_parity(others, -a * p2 - t, a * p2 - t):
                 certs.append(
                     Certificate(len(w) - 2, CertificateSource.SULY1FORMA_II, {"n": n, "head": a, "fixed_ball": t})
                 )

@@ -8,9 +8,11 @@ adversary picks the answer.  The game ends when either all weights are zero
 class is the majority).  `solve_weighted` computes the exact worst-case
 query count by memoized minimax over weight multisets; a move's SAME
 child is not searched once its DIFF child shows that the move cannot win,
-and the memo holds only exact values.  `signed_sum_counts` is the one
-signed-sum counter: relevance here and every counting bound in `bounds`
-read it.  Every signed sum has the parity of the total, so the hardness
+and the memo holds only exact values.  `signed_sum_counts` counts signed
+sums exactly: relevance here and the counting bounds in `bounds` read it.
+The equal-head checks in `bounds` read only the parity of a count of
+signed sums in a window, and take it from `signed_sum_parity`, which works
+over GF(2).  Every signed sum has the parity of the total, so the hardness
 search in `bounds` checks the equal-head lemma's part (i), which needs a
 signed sum a*2^n of the balls outside the head, only on an even total.
 """
@@ -204,6 +206,44 @@ def signed_sum_counts(weights) -> dict[int, int]:
             nxt[s + 2 * x] = nxt.get(s + 2 * x, 0) + c
         counts = nxt
     return counts
+
+
+def signed_sum_parity(weights, lo: int, hi: int) -> int:
+    """Parity of the number of sign vectors whose signed sum lies in the
+    half-open window (lo, hi].
+
+    The parity is read off the product of (1 + X^w) over GF(2), where
+    (1 + X^x)^c is the product of (1 + X^(x*2^i)) over the set bits i of c:
+    one shift-XOR factor per set bit of each value's multiplicity, and a
+    zero weight makes every parity even.  While the total is below 64 <<
+    factors the product is one integer and the window is one masked
+    `bit_count`; otherwise it is the set of its exponents, updated by
+    symmetric difference, and an exponent past the window is dropped, as
+    no factor lowers it.  Cost grows with the number of factors, never with
+    the size of the weights.
+    """
+    w = tuple(weights)
+    total = sum(w)
+    # signed sum 2j - total over plus-weight j: lo < 2j - total <= hi
+    jlo = max((lo + total) // 2 + 1, 0)
+    jhi = min((hi + total) // 2, total)
+    if jlo > jhi:
+        return 0
+    shifts = []  # x * 2^i for each set bit 2^i of the multiplicity c of x
+    for x in set(w):
+        c = w.count(x)
+        while c:
+            shifts.append(x * (c & -c))
+            c &= c - 1
+    if total < 64 << len(shifts):
+        poly = 1
+        for d in shifts:
+            poly ^= poly << d
+        return ((poly >> jlo) & ((1 << (jhi - jlo + 1)) - 1)).bit_count() & 1
+    exps = {0}
+    for d in shifts:
+        exps ^= {e + d for e in exps if e + d <= jhi}
+    return len([e for e in exps if e >= jlo]) & 1
 
 
 def relevant(weights, i: int) -> bool:

@@ -9,6 +9,7 @@ from oracles import base_hard_certificate_both_parts
 from majority_game import bounds
 from majority_game.bounds import (
     MU_INFINITE,
+    Certificate,
     CertificateSource,
     certify_lower_bound,
     count_balanced,
@@ -78,6 +79,14 @@ def test_lemma_certificates_on_named_vectors():
     sources = {c.source: c.bound for c in certify_lower_bound((2, 1, 1))}
     assert sources[CertificateSource.SULY1_I] == 2
     assert solve_weighted((2, 1, 1)) == 2
+
+
+def test_equal_head_certificate_on_large_weights():
+    # the equal-head parity checks' cost follows the number of factors, not
+    # the size of the weights
+    assert certify_lower_bound((10**6, 10**6 - 1, 3)) == [
+        Certificate(1, CertificateSource.SULY1FORMA_II, {"n": 0, "head": 10**6, "fixed_ball": 10**6 - 1})
+    ]
 
 
 def test_unit_head_exactness():

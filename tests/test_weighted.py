@@ -20,6 +20,7 @@ from majority_game.weighted import (
     relevant,
     relevant_indices,
     signed_sum_counts,
+    signed_sum_parity,
     solve_weighted,
     weight_multisets,
     weighted_terminal,
@@ -142,6 +143,22 @@ def test_signed_sum_counts_on_huge_weights_and_wide_fields():
     assert signed_sum_counts((0,) * 64) == {0: 2**64}
     assert signed_sum_counts((1,) * 62 + (0,)) == {2 * j - 62: 2 * math.comb(62, j) for j in range(63)}
     assert signed_sum_counts((1,) * 64) == {2 * j - 64: math.comb(64, j) for j in range(65)}
+
+
+def test_signed_sum_parity_matches_the_counts():
+    # the plain vectors and the zero-ball ones take the one-integer form;
+    # scaled by 10^4 they take the exponent-set form, and scaled by 10^20
+    # no integer could hold the product, so only that form can answer
+    for base in [()] + weight_multisets(12):
+        for w in (base, base + (0,), tuple(10**4 * x for x in base), tuple(10**20 * x for x in base)):
+            counts = signed_sum_counts(w)
+            ends = sorted({e for s in counts for e in (s - 1, s)})
+            windows = [(lo, hi) for lo in ends for hi in ends if lo < hi]
+            outside = max(ends) + 1
+            windows += [(-outside - 2, -outside), (outside, outside + 2), (outside, -outside)]
+            for lo, hi in windows:
+                inside = sum(c for s, c in counts.items() if lo < s <= hi)
+                assert signed_sum_parity(w, lo, hi) == inside % 2, (w, lo, hi)
 
 
 def test_relevance_threshold_examples():
