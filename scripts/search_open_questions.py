@@ -9,7 +9,7 @@ whatever the search finds.
     and an exhaustive walk of its querier's answer tree for n = 4..N, which
     proves m(G_n) <= n - b(n) wherever it passes;
   * verification complexity: the histogram of m_nd(T) over odd free trees,
-    by brute-force certificates (the path DP covers only paths).
+    by the tree DP's minimum certificates.
 
 Usage: python3 scripts/search_open_questions.py [--max-tree-n 11] [--max-total 12]
            [--max-mnd-n 9] [--max-verify-n 16]

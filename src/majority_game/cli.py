@@ -209,9 +209,7 @@ def _cmd_verify(args) -> int:
 def _cmd_nondet(args) -> int:
     if args.mode == "cert":
         graph = _load_graph(args.graph)
-        report = (nondet.path_cert(args.coloring)
-                  if generators.is_path_in_order(graph) and graph.n == len(args.coloring)
-                  else nondet.cert(graph, args.coloring))
+        report = nondet.min_cert(graph, args.coloring)
         _emit(report.to_json(), args.json,
               f"certificate size {report.size}: queries {sorted(report.query_set)}; {report.outcome}")
         return 0

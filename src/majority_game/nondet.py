@@ -4,10 +4,11 @@ Here the coloring is claimed in advance by an unreliable source and the
 querier only has to verify the answer: choose a cheapest query set whose
 coloring-induced state already pins the outcome down.  ``cert`` finds a
 minimum certificate by brute force: it tries the edge subsets in order of
-size and tests each by its components' signed sums alone.  ``path_cert``
-solves paths exactly by an interval dynamic program over prefix sums, and
-``nondet_query_set`` builds the explicit near-optimal certificates for odd
-paths.
+size and tests each by its components' signed sums alone.  ``tree_cert``
+finds the same certificate on any tree by a dynamic program over subtrees;
+``min_cert`` picks between the two, and ``path_cert`` is the program on a
+path.  ``nondet_query_set`` builds the explicit near-optimal certificates
+for odd paths.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from .core import (
     coloring_outcome,
     parse_coloring,
 )
-from .generators import is_path_in_order, path_graph
+from .generators import is_tree, path_graph, rooted_order
 from .graphsolver import check_solvable
 
-NEG = -(10 ** 9)
 MAX_CERT_EDGES = 24  # cert tries up to 2**24 edge subsets
 MAX_MND_N = 16  # m_nd runs a certificate search for each of 2**(n-1) colorings
 
@@ -122,18 +122,23 @@ def cert(graph: Graph, coloring: str) -> CertReport:
     raise AssertionError("querying every edge certifies any solvable graph")
 
 
+def min_cert(graph: Graph, coloring: str) -> CertReport:
+    """Minimum certificate: the dynamic program on a tree, brute force on
+    any other graph.  Both give the same report."""
+    return tree_cert(graph, coloring) if is_tree(graph) else cert(graph, coloring)
+
+
 def m_nd(graph: Graph) -> int:
     """Worst-case certificate size over all colorings (up to global flip)."""
     check_solvable(graph)
     n = graph.n
     if n > MAX_MND_N:
         raise InputError(f"coloring enumeration limited to n <= {MAX_MND_N}, got n = {n}")
-    use_path_dp = is_path_in_order(graph)
     upper = n - len(graph.components())
     best = 0
     for bits in range(2 ** (n - 1)):
         coloring = RED + "".join(RED if (bits >> i) & 1 else BLUE for i in range(n - 1))
-        size = path_cert(coloring).size if use_path_dp else cert(graph, coloring).size
+        size = min_cert(graph, coloring).size
         if size > best:
             best = size
             if best == upper:
@@ -141,125 +146,79 @@ def m_nd(graph: Graph) -> int:
     return best
 
 
-# -- exact certificates on paths ------------------------------------------
+# -- exact certificates on trees -------------------------------------------
 
 
-def _partition_tables(D: list[int]) -> tuple[list[list[int]], list[list[int]]]:
-    """pre[i][w] (suf[i][w]): most intervals a partition of the first i
-    (last n-i) vertices can have with total interval weight at most w."""
-    n = len(D) - 1
-    pre = [[NEG] * (n + 1) for _ in range(n + 1)]
-    pre[0] = [0] * (n + 1)
-    for i in range(1, n + 1):
-        row = pre[i]
-        for j in range(i):
-            cost = abs(D[i] - D[j])
-            prev = pre[j]
-            for w in range(cost, n + 1):
-                cand = prev[w - cost]
-                if cand != NEG and cand + 1 > row[w]:
-                    row[w] = cand + 1
-    suf = [[NEG] * (n + 1) for _ in range(n + 1)]
-    suf[n] = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        row = suf[i]
-        for j in range(i + 1, n + 1):
-            cost = abs(D[j] - D[i])
-            nxt = suf[j]
-            for w in range(cost, n + 1):
-                cand = nxt[w - cost]
-                if cand != NEG and cand + 1 > row[w]:
-                    row[w] = cand + 1
-    return pre, suf
+def tree_cert(graph: Graph, coloring: str) -> CertReport:
+    """Minimum certificate on a tree by one dynamic program over subtrees;
+    its report equals `cert`'s.
 
+    On a tree the answered queries cut the vertices into parts, one more
+    than the edges left unasked, so a minimum certificate cuts the most
+    edges whose parts settle the outcome.  Orient the coloring so that its
+    signed total T is >= 0 and let the parts have signed sums s_i.  A part
+    h outweighs all the others (s_h > sum of |s_i| over i != h) exactly
+    when 2 * sum{s_i > 0, i != h} s_i < T.  So the heavy part costs
+    nothing, and only the positive sums of the other parts spend a budget
+    of B = (T - 1) // 2.  When T = 0 no part is heavy and B = 0, which
+    leaves every part balanced.
 
-def _rebuild_prefix_cuts(D, pre, a: int, w: int) -> list[int]:
-    cuts = []
-    i = a
-    while i > 0:
-        for j in range(i):
-            cost = abs(D[i] - D[j])
-            if cost <= w and pre[j][w - cost] == pre[i][w] - 1:
-                cuts.append(j)
-                w -= cost
-                i = j
-                break
-        else:  # pragma: no cover
-            raise AssertionError("prefix reconstruction failed")
-    return [c for c in cuts if c != 0]
-
-
-def _rebuild_suffix_cuts(D, suf, b: int, w: int) -> list[int]:
-    n = len(D) - 1
-    cuts = []
-    i = b
-    while i < n:
-        for j in range(i + 1, n + 1):
-            cost = abs(D[j] - D[i])
-            if cost <= w and suf[j][w - cost] == suf[i][w] - 1:
-                cuts.append(j)
-                w -= cost
-                i = j
-                break
-        else:  # pragma: no cover
-            raise AssertionError("suffix reconstruction failed")
-    return [c for c in cuts if c != n]
+    Each vertex keeps a table keyed by (open part's sum, budget used,
+    heavy part placed) over its subtree, and each child folds in by one
+    of three moves: keep the edge, cut it as an ordinary part, or cut it
+    as the heavy part.  A table value is parts * 2**E - cut mask, with
+    the lowest edge in the highest of E bits, so the largest value has
+    the most parts and, among those, leaves uncut the lowest edge where
+    two candidates differ: the first minimum subset in `combinations`
+    order, which is the one `cert` reports.
+    """
+    if not is_tree(graph):
+        check_solvable(graph)  # a graph with no vertices is unsolvable, not malformed
+        raise InputError("the certificate dynamic program needs a tree")
+    coloring = parse_coloring(coloring, graph.n)
+    signs = _signs(coloring)
+    total = sum(signs)
+    if total < 0:
+        signs = [-s for s in signs]
+        total = -total
+    budget = max(total - 1, 0) // 2
+    edges = graph.sorted_edges
+    top = len(edges) - 1
+    part = 1 << len(edges)
+    index = {e: i for i, e in enumerate(edges)}
+    order, parent = rooted_order(graph)
+    tables = [{(s, 0, 0): 0} for s in signs]
+    for x in reversed(order[1:]):
+        y = parent[x]
+        cut = part - (1 << (top - index[min(x, y), max(x, y)]))
+        moves: dict = {}
+        for (s, used, heavy), value in tables[x].items():
+            options = [((s, used, heavy), value), ((0, used + max(s, 0), heavy), value + cut)]
+            if total and not heavy:
+                options.append(((0, used, 1), value + cut))
+            for key, option in options:
+                if key[1] <= budget and option > moves.get(key, -1):
+                    moves[key] = option
+        merged: dict = {}
+        for (s, used, heavy), value in tables[y].items():
+            for (s2, used2, heavy2), value2 in moves.items():
+                key = (s + s2, used + used2, heavy | heavy2)
+                if key[1] <= budget and not heavy & heavy2 and value + value2 > merged.get(key, -1):
+                    merged[key] = value + value2
+        tables[y] = merged
+    # the root's open part closes as the heavy part if none is placed, else as an ordinary one
+    best = max(value for (s, used, heavy), value in tables[0].items()
+               if (total and not heavy) or used + max(s, 0) <= budget)
+    cuts = -best % part
+    query_set = frozenset(e for i, e in enumerate(edges) if not cuts >> (top - i) & 1)
+    return CertReport(coloring, query_set, induced_outcome(graph, coloring, query_set),
+                      len(query_set))
 
 
 def path_cert(coloring: str) -> CertReport:
-    """Exact minimum certificate on a path, via interval partitions.
-
-    A query set on a path is determined by its omitted (cut) edges; the
-    state is terminal iff every interval is balanced or one interval
-    outweighs the rest.  Maximizing the number of cuts is a dynamic
-    program over prefix sums.
-    """
+    """Minimum certificate on the path 0-1-...-(n-1), n = len(coloring)."""
     coloring = parse_coloring(coloring)
-    n = len(coloring)
-    graph = path_graph(n)
-    if n == 1:
-        return CertReport(coloring, frozenset(), coloring_outcome(coloring), 0)
-    D = list(itertools.accumulate(_signs(coloring), initial=0))
-    best_cuts: list[int] | None = None
-    if D[n] == 0:
-        best_cuts = [i for i in range(1, n) if D[i] == 0]
-    pre, suf = _partition_tables(D)
-    best_r = 1 + len(best_cuts) if best_cuts is not None else NEG
-    best_dom = None
-    for a in range(n):
-        for b in range(a + 1, n + 1):
-            w_dom = abs(D[b] - D[a])
-            if w_dom == 0:
-                continue
-            budget = min(w_dom - 1, n)
-            count = NEG
-            arg = None
-            for w1 in range(budget + 1):
-                if pre[a][w1] == NEG or suf[b][budget - w1] == NEG:
-                    continue
-                c = pre[a][w1] + suf[b][budget - w1]
-                if c > count:
-                    count, arg = c, w1
-            if count == NEG:
-                continue
-            r = count + 1
-            if r > best_r:
-                best_r = r
-                best_dom = (a, b, arg)
-    if best_dom is not None:
-        a, b, w1 = best_dom
-        budget = min(abs(D[b] - D[a]) - 1, n)
-        cuts = _rebuild_prefix_cuts(D, pre, a, w1)
-        cuts += [a] if a != 0 else []
-        cuts += [b] if b != n else []
-        cuts += _rebuild_suffix_cuts(D, suf, b, budget - w1)
-        best_cuts = sorted(set(cuts))
-    assert best_cuts is not None
-    cut_edges = {(c - 1, c) for c in best_cuts}
-    query_set = frozenset(e for e in graph.sorted_edges if e not in cut_edges)
-    outcome = induced_outcome(graph, coloring, query_set)
-    assert outcome is not None, "reconstructed cut set must certify"
-    return CertReport(coloring, query_set, outcome, len(query_set))
+    return tree_cert(path_graph(len(coloring)), coloring)
 
 
 # -- explicit constructions on odd paths -----------------------------------

@@ -447,16 +447,17 @@ def criterion_9(seed: int = 0) -> list[CheckRecord]:
         g = generators.path_graph(n)
         for bits in range(2 ** max(0, n - 1)):
             coloring = "R" + "".join("R" if (bits >> i) & 1 else "B" for i in range(n - 1))
-            a = nondet.path_cert(coloring).size
-            b = nondet.cert(g, coloring).size
+            a = nondet.path_cert(coloring)
+            b = nondet.cert(g, coloring)
             if a != b:
-                bad.append((coloring, a, b))
+                bad.append((coloring, a.size, b.size))
     recs.append(
         _rec(
             "nondet",
             "C9 path DP agrees with brute force",
             not bad,
-            f"all colorings of P_n, n <= 11; mismatches: {bad[:3]}",
+            f"path_cert(c) == cert(P_n, c) on all colorings of P_n, n <= 11;"
+            f" mismatches (coloring, sizes): {bad[:3]}",
             "majority-game nondet cert - RRBRR  (with a path graph on stdin)",
         )
     )

@@ -7,7 +7,7 @@ import pytest
 
 from majority_game import cli, weighted
 from majority_game.cli import main
-from majority_game.core import StrategyError
+from majority_game.core import Graph, StrategyError
 from majority_game.generators import path_graph, random_tree, star_graph
 
 
@@ -143,6 +143,7 @@ def test_nondet_cert_on_path(capsys, tmp_path):
 
 
 def test_nondet_brute_force_on_a_star_and_a_tree(capsys, tmp_path):
+    # trees go to the dynamic program, whose reports equal the brute force's
     star = tmp_path / "star5.txt"
     star.write_text(star_graph(5).to_text())
     code, out = run_cli(capsys, ["nondet", "cert", str(star), "RBRBR", "--json"])
@@ -157,11 +158,29 @@ def test_nondet_brute_force_on_a_star_and_a_tree(capsys, tmp_path):
 
 
 def test_nondet_cert_rejects_too_many_edges(capsys, tmp_path):
-    f = tmp_path / "star26.txt"
-    f.write_text(star_graph(26).to_text())
+    # a tree goes to the dynamic program, so only a graph with a cycle meets the limit
+    f = tmp_path / "star26_cycle.txt"
+    f.write_text(Graph.from_edges(26, [*star_graph(26).sorted_edges, (1, 2)]).to_text())
     code, out = run_cli(capsys, ["nondet", "cert", str(f), "R" * 26])
     assert code == 2
     assert out.startswith("error: ") and "24 edges" in out and len(out.splitlines()) == 1
+
+
+def test_nondet_cert_on_a_large_star(capsys, tmp_path):
+    # a 14-vertex part must outweigh the 12 singletons left beside it
+    f = tmp_path / "star26.txt"
+    f.write_text(star_graph(26).to_text())
+    code, out = run_cli(capsys, ["nondet", "cert", str(f), "R" * 26, "--json"])
+    assert code == 0
+    assert json.loads(out)["size"] == 13
+
+
+def test_nondet_cert_rejects_an_empty_graph(capsys, tmp_path):
+    f = tmp_path / "g0.txt"
+    f.write_text("0 0\n")
+    code, out = run_cli(capsys, ["nondet", "cert", str(f), ""])
+    assert code == 2
+    assert out.startswith("error: ") and "not determinable" in out and len(out.splitlines()) == 1
 
 
 def test_nondet_mnd_rejects_too_many_vertices(capsys, tmp_path):

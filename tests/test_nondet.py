@@ -1,4 +1,4 @@
-"""Verification complexity: brute certificates, the path DP, constructions."""
+"""Verification complexity: brute certificates, the tree DP, constructions."""
 
 import itertools
 import math
@@ -7,7 +7,16 @@ import random
 import pytest
 
 from majority_game.adversary import eventrees_coloring
-from majority_game.core import BLUE, RED, Graph, Outcome, coloring_outcome, parse_coloring
+from majority_game.core import (
+    BLUE,
+    RED,
+    Graph,
+    InputError,
+    Outcome,
+    UnsolvableGraphError,
+    coloring_outcome,
+    parse_coloring,
+)
 from majority_game.generators import (
     complete_graph,
     free_trees,
@@ -24,6 +33,7 @@ from majority_game.nondet import (
     nondet_hard_coloring,
     nondet_query_set,
     path_cert,
+    tree_cert,
 )
 
 
@@ -46,7 +56,26 @@ def test_path_cert_matches_brute_force_small():
         g = path_graph(n)
         for bits in range(2 ** max(0, n - 1)):
             c = "R" + "".join("R" if (bits >> i) & 1 else "B" for i in range(n - 1))
-            assert path_cert(c).size == cert(g, c).size, c
+            assert path_cert(c) == cert(g, c), c
+
+
+def test_tree_cert_matches_brute_force_on_every_free_tree():
+    # the whole report: size, outcome and the first minimum query set
+    for n in range(1, 9):
+        for tree in free_trees(n):
+            for c in _colorings(n):
+                assert tree_cert(tree, c) == cert(tree, c), (tree.sorted_edges, c)
+
+
+def test_tree_cert_rejects_bad_input():
+    with pytest.raises(UnsolvableGraphError):
+        path_cert("")
+    with pytest.raises(InputError):
+        path_cert("RRX")
+    with pytest.raises(InputError):
+        tree_cert(Graph.from_edges(3, [(0, 1)]), "RRB")  # solvable, but a forest
+    with pytest.raises(InputError):
+        tree_cert(complete_graph(3), "RRB")
 
 
 def test_path_cert_monochromatic():
@@ -149,8 +178,6 @@ def test_query_set_rejects_even_paths():
 
 
 def test_mnd_rejects_unsolvable_and_oversized():
-    from majority_game.core import Graph, UnsolvableGraphError
-
     with pytest.raises(UnsolvableGraphError):
         m_nd(Graph.from_edges(4, [(0, 1), (2, 3)]))
     with pytest.raises(ValueError):
