@@ -279,9 +279,10 @@ class GraphSolver:
         if hit is not None:
             return hit
         wmask, shift, units, bounds = self.wmask, self.shift, self.units, self.bounds
-        if _terminal(codes, wmask):
-            return self._store(key, 0, self.table)
-        lb = max(self.bound_table.get(key, 0), bounds[cnt >> shift])
+        lb = bounds[cnt >> shift]
+        if not lb:  # the weighted value is 0 on exactly the terminal states
+            return 0
+        lb = max(self.bound_table.get(key, 0), lb)
         if lb >= beta:
             return lb
         self.nodes += 1

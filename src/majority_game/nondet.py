@@ -3,12 +3,16 @@
 Here the coloring is claimed in advance by an unreliable source and the
 querier only has to verify the answer: choose a cheapest query set whose
 coloring-induced state already pins the outcome down.  ``cert`` finds a
-minimum certificate by brute force: it tries the edge subsets in order of
-size and tests each by its components' signed sums alone.  ``tree_cert``
-finds the same certificate on any tree by a dynamic program over subtrees;
-``min_cert`` picks between the two, and ``path_cert`` is the program on a
-path.  ``nondet_query_set`` builds the explicit near-optimal certificates
-for odd paths.
+minimum certificate by brute force, testing each edge subset by its
+components' signed sums alone.  A superset of a certificate is a
+certificate, and every spanning forest certifies a solvable graph, so
+``cert`` walks the sizes down from a spanning forest's, n - #components,
+keeps the first certificate of each size, and stops at the first size
+with none: only the size just below the minimum is searched in full.
+``tree_cert`` finds the same certificate on any tree by a dynamic program
+over subtrees; ``min_cert`` picks between the two, and ``path_cert`` is
+the program on a path.  ``nondet_query_set`` builds the explicit
+near-optimal certificates for odd paths.
 """
 
 from __future__ import annotations
@@ -91,7 +95,12 @@ def _signs(coloring: str) -> list[int]:
 def induced_outcome(graph: Graph, coloring: str, query_set) -> Outcome | None:
     """Terminal outcome of the state obtained by answering `query_set`
     according to `coloring`, or None if that state is not terminal."""
-    parent, sums = _merge(_signs(coloring[: graph.n]), query_set)
+    return _outcome(coloring[: graph.n], query_set)
+
+
+def _outcome(coloring: str, query_set) -> Outcome | None:
+    """`induced_outcome` on the graph whose vertices are the coloring's."""
+    parent, sums = _merge(_signs(coloring), query_set)
     if not _settled(sums):
         return None
     weights = list(map(abs, sums))
@@ -105,8 +114,21 @@ def induced_outcome(graph: Graph, coloring: str, query_set) -> Outcome | None:
 
 
 def cert(graph: Graph, coloring: str) -> CertReport:
-    """Minimum certificate by exhaustive search in order of size: each edge
-    subset is tested by the signed sums of the components it induces."""
+    """Minimum certificate by exhaustive search, walking the sizes down.
+
+    Two facts make the walk sound.  A superset of a certificate is a
+    certificate: merging two components never un-settles a state (balanced
+    plus balanced stays balanced, a heavy part that absorbs another still
+    outweighs the rest, and a merge of two other parts never raises their
+    total weight).  And every spanning forest certifies a solvable graph:
+    it leaves one part, or two parts with an odd total, whose weights
+    differ.  So the walk starts at a spanning forest's size, n - #components
+    (never above the edge count), takes the first settled subset of each
+    size in `combinations` order, and stops at the first size that has
+    none; only that size is searched in full.  The last subset found is
+    the first minimum one in `combinations` order.  Each subset is tested
+    by the signed sums of the components it induces.
+    """
     check_solvable(graph)
     coloring = parse_coloring(coloring, graph.n)
     edges = graph.sorted_edges
@@ -114,12 +136,14 @@ def cert(graph: Graph, coloring: str) -> CertReport:
         raise InputError(f"brute-force certificate limited to {MAX_CERT_EDGES} edges, "
                          f"got {len(edges)}")
     signs = _signs(coloring)
-    for size in range(len(edges) + 1):
-        for subset in itertools.combinations(edges, size):
-            if _settled(_merge(signs, subset)[1]):
-                outcome = induced_outcome(graph, coloring, subset)
-                return CertReport(coloring, frozenset(subset), outcome, size)
-    raise AssertionError("querying every edge certifies any solvable graph")
+    best = None
+    for size in range(graph.n - len(graph.components()), -1, -1):
+        subset = next((qs for qs in itertools.combinations(edges, size)
+                       if _settled(_merge(signs, qs)[1])), None)
+        if subset is None:
+            break
+        best = subset
+    return CertReport(coloring, frozenset(best), _outcome(coloring, best), len(best))
 
 
 def min_cert(graph: Graph, coloring: str) -> CertReport:
@@ -175,18 +199,21 @@ def tree_cert(graph: Graph, coloring: str) -> CertReport:
     if not is_tree(graph):
         check_solvable(graph)  # a graph with no vertices is unsolvable, not malformed
         raise InputError("the certificate dynamic program needs a tree")
-    coloring = parse_coloring(coloring, graph.n)
+    return _tree_dp(parse_coloring(coloring, graph.n), graph.sorted_edges, *rooted_order(graph))
+
+
+def _tree_dp(coloring: str, edges, order, parent) -> CertReport:
+    """`tree_cert` on the tree with the sorted `edges`, given a preorder of
+    its vertices from the root 0 and each vertex's parent in it."""
     signs = _signs(coloring)
     total = sum(signs)
     if total < 0:
         signs = [-s for s in signs]
         total = -total
     budget = max(total - 1, 0) // 2
-    edges = graph.sorted_edges
     top = len(edges) - 1
     part = 1 << len(edges)
     index = {e: i for i, e in enumerate(edges)}
-    order, parent = rooted_order(graph)
     tables = [{(s, 0, 0): 0} for s in signs]
     for x in reversed(order[1:]):
         y = parent[x]
@@ -211,14 +238,18 @@ def tree_cert(graph: Graph, coloring: str) -> CertReport:
                if (total and not heavy) or used + max(s, 0) <= budget)
     cuts = -best % part
     query_set = frozenset(e for i, e in enumerate(edges) if not cuts >> (top - i) & 1)
-    return CertReport(coloring, query_set, induced_outcome(graph, coloring, query_set),
-                      len(query_set))
+    return CertReport(coloring, query_set, _outcome(coloring, query_set), len(query_set))
 
 
 def path_cert(coloring: str) -> CertReport:
-    """Minimum certificate on the path 0-1-...-(n-1), n = len(coloring)."""
+    """Minimum certificate on the path 0-1-...-(n-1), n = len(coloring).
+    The dynamic program takes the path's edges and its preorder from
+    vertex 0 as they are, so no graph is built."""
     coloring = parse_coloring(coloring)
-    return tree_cert(path_graph(len(coloring)), coloring)
+    n = len(coloring)
+    if not n:
+        check_solvable(path_graph(0))  # raises: a graph with no vertices is unsolvable
+    return _tree_dp(coloring, [(i - 1, i) for i in range(1, n)], range(n), range(-1, n - 1))
 
 
 # -- explicit constructions on odd paths -----------------------------------
@@ -256,10 +287,8 @@ def nondet_query_set(coloring: str) -> frozenset[Edge]:
     if sum(signs) < 0:
         signs = [-s for s in signs]
     cuts = _query_set_cuts(signs)
-    cut_edges = {(c - 1, c) for c in cuts}
-    graph = path_graph(n)
-    query_set = frozenset(e for e in graph.sorted_edges if e not in cut_edges)
-    outcome = induced_outcome(graph, coloring, query_set)
+    query_set = frozenset((i - 1, i) for i in range(1, n) if i not in cuts)
+    outcome = _outcome(coloring, query_set)
     assert outcome is not None, "constructed query set failed to certify"
     truth = coloring_outcome(coloring)
     assert (outcome.majority is None) == (truth.majority is None)

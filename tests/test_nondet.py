@@ -7,6 +7,7 @@ import random
 import pytest
 
 from majority_game.adversary import eventrees_coloring
+from majority_game.constructions import build_minedge_graph
 from majority_game.core import (
     BLUE,
     RED,
@@ -27,6 +28,7 @@ from majority_game.generators import (
 from majority_game.graphsolver import solve_graph
 from majority_game.nondet import (
     CertReport,
+    _query_set_cuts,
     cert,
     induced_outcome,
     m_nd,
@@ -240,6 +242,8 @@ def _differential_graphs():
     graphs = [t for n in range(1, 9) for t in free_trees(n)]
     graphs += [path_graph(n) for n in range(1, 10)]
     graphs += [complete_graph(4), Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])]
+    # dense graphs, whose minimum lies far below m: the downward walk does the most work there
+    graphs += [complete_graph(5), build_minedge_graph(6).graph]
     rng = random.Random(11)
     cyclic = []
     while len(cyclic) < 4:
@@ -267,3 +271,53 @@ def test_induced_outcome_matches_the_earlier_union_find():
                 for subset in itertools.combinations(edges, size):
                     assert induced_outcome(g, coloring, subset) == _ref_induced_outcome(
                         g, coloring, subset), (edges, coloring, subset)
+
+
+def test_cert_plus_any_edge_still_certifies():
+    # a superset of a certificate is a certificate, which `cert`'s downward walk relies on
+    rng = random.Random(7)
+    for g in _differential_graphs():
+        colorings = list(_colorings(g.n))
+        for coloring in rng.sample(colorings, min(4, len(colorings))):
+            report = cert(g, coloring)
+            for e in g.sorted_edges:
+                if e in report.query_set:
+                    continue
+                out = induced_outcome(g, coloring, report.query_set | {e})
+                assert out is not None, (g.sorted_edges, coloring, e)
+                assert (out.majority is None) == (report.outcome.majority is None)
+                if out.majority is not None:
+                    assert coloring[out.majority] == coloring[report.outcome.majority]
+
+
+# -- reference copy of the Graph-based query-set construction -----------------
+# The path graph's sorted edges minus the cut edges, replayed on that graph.
+
+
+def _ref_query_set(coloring):
+    n = len(coloring)
+    if n == 1:
+        return frozenset()
+    signs = [1 if ch == RED else -1 for ch in coloring]
+    if sum(signs) < 0:
+        signs = [-s for s in signs]
+    cut_edges = {(c - 1, c) for c in _query_set_cuts(signs)}
+    graph = path_graph(n)
+    query_set = frozenset(e for e in graph.sorted_edges if e not in cut_edges)
+    outcome = induced_outcome(graph, coloring, query_set)
+    assert outcome is not None
+    truth = coloring_outcome(coloring)
+    assert (outcome.majority is None) == (truth.majority is None)
+    if outcome.majority is not None:
+        assert coloring[outcome.majority] == coloring[truth.majority]
+    return query_set
+
+
+def test_query_set_matches_the_graph_based_construction():
+    colorings = ["".join(c) for n in range(1, 14, 2) for c in itertools.product("RB", repeat=n)]
+    rng = random.Random(12)
+    for _ in range(200):
+        n = rng.choice(range(3, 202, 2))
+        colorings.append("".join(rng.choice("RB") for _ in range(n)))
+    for coloring in colorings:
+        assert nondet_query_set(coloring) == _ref_query_set(coloring), coloring
