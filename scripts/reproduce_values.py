@@ -6,14 +6,16 @@ Usage: python3 scripts/reproduce_values.py [--quick]
   --quick skips P_15 and the even-tree batch.
 """
 
-import sys
+import argparse
 import time
 
 from majority_game import suites
 
 
-def main() -> int:
-    quick = "--quick" in sys.argv
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--quick", action="store_true", help="skip P_15 and the even-tree batch")
+    quick = parser.parse_args(argv).quick
     t0 = time.time()
     records = []
     records += suites.criterion_1()

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 from . import weighted
-from .core import BLUE, RED, GameError, Graph, QueryState, parse_coloring
+from .core import BLUE, RED, GameError, Graph, InputError, QueryState, parse_coloring
 from .generators import is_path_in_order, is_tree, rooted_order
 from .graphsolver import Game, GameView, adversary_levels
 
@@ -97,9 +97,9 @@ def eventrees_coloring(tree: Graph) -> str:
     """
     n = tree.n
     if n % 2 != 0:
-        raise ValueError("the construction needs an even number of vertices")
+        raise InputError("the construction needs an even number of vertices")
     if not is_tree(tree):
-        raise ValueError("input must be a tree")
+        raise InputError("input must be a tree")
     adj = tree.adjacency
 
     sides = {}
@@ -218,9 +218,9 @@ def centroid_decomposition(tree: Graph, p: int) -> frozenset[int]:
     its piece (children loads plus the edge to its parent) would exceed p.
     """
     if p < 1:
-        raise ValueError("p must be positive")
+        raise InputError("p must be positive")
     if not is_tree(tree):
-        raise ValueError("centroid decomposition expects a tree")
+        raise InputError("centroid decomposition expects a tree")
     n = tree.n
     if n <= 1:
         return frozenset()
@@ -278,10 +278,10 @@ class Lefogo1Adversary(_CoveringAdversary):
         n = graph.n
         k = n.bit_length() - 1
         if k < 2 or len(self.cover) > 2 ** (k - 2):
-            raise ValueError("cover too large: need |U| <= 2^(k-2) where 2^k <= n")
+            raise InputError("cover too large: need |U| <= 2^(k-2) where 2^k <= n")
         for u, v in graph.edges:
             if u not in self.cover and v not in self.cover:
-                raise ValueError(f"edge ({u},{v}) misses the cover")
+                raise InputError(f"edge ({u},{v}) misses the cover")
         self.cover_mask = _mask_of(self.cover)
         self.switch_total = 2 ** k + (n % 2)
         self.max_drop = 2
@@ -308,12 +308,12 @@ class OddpathAdversary(_CoveringAdversary):
 
     def __init__(self, graph: Graph, stride: int = 9):
         if stride not in (8, 9):
-            raise ValueError("stride must be 8 or 9")
+            raise InputError("stride must be 8 or 9")
         if not is_path_in_order(graph):
-            raise ValueError("expects the path 0-1-...-(n-1)")
+            raise InputError("expects the path 0-1-...-(n-1)")
         n = graph.n
         if n % 2 == 0:
-            raise ValueError("odd path adversary needs odd n")
+            raise InputError("odd path adversary needs odd n")
         self.graph = graph
         self.stride = stride
         cover = set(range(1, n, stride))
@@ -354,9 +354,9 @@ class Lefogo2Adversary(_CoveringAdversary):
 
     def __init__(self, tree: Graph, p: int = 32):
         if not is_tree(tree):
-            raise ValueError("expects a tree")
+            raise InputError("expects a tree")
         if tree.n % 2 == 0:
-            raise ValueError("even trees are handled by the plain weight discipline")
+            raise InputError("even trees are handled by the plain weight discipline")
         self.graph = tree
         self.p = p
         self.cover = centroid_decomposition(tree, p)

@@ -136,8 +136,12 @@ def _make_querier(kind: str, graph: Graph):
     if kind == "spanning":
         return adv.spanning_querier(graph)
     if kind.startswith("random:"):
-        return adv.random_querier(int(kind.split(":", 1)[1]))
-    raise ValueError(f"unknown querier {kind!r} (optimal|spanning|random:<seed>)")
+        try:
+            seed = int(kind.removeprefix("random:"))
+        except ValueError:
+            raise InputError(f"querier {kind!r}: the seed is not an integer") from None
+        return adv.random_querier(seed)
+    raise InputError(f"unknown querier {kind!r} (optimal|spanning|random:<seed>)")
 
 
 def _cmd_adversary(args) -> int:

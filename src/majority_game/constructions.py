@@ -116,8 +116,16 @@ def _was_diff(state: QueryState, edge: Edge) -> bool:
 
 class MinedgeQuerier:
     """Deterministic querier for the hub construction, replayable from the
-    query log alone: hub steps are re-derived from which scheduled queries
-    have been asked and which of them came back DIFF."""
+    query log alone.
+
+    One walk, ``_walk``, replays the doubling schedule of a block of path
+    positions against the answers so far.  Hub step s walks the hub at path
+    position k + 1 - s followed by the lowest positions no step has asked,
+    the largest power-of-two block that fits below the hub; a DIFF moves
+    the next step past the positions it asked, and an all-SAME step ends
+    the steps.  The run of positions between the last step's block and its
+    hub is then walked in largest power-of-two blocks first, and the exact
+    endgame finishes what is left."""
 
     def __init__(self, n: int):
         self.construction = build_minedge_graph(n)
@@ -125,103 +133,55 @@ class MinedgeQuerier:
         self.k = n // 2
         self.b_eff = len(self.construction.hubs)
         self._endgame_solver = None
-        self._schedules: dict[tuple[tuple[int, ...], tuple[int, ...]], list[Edge]] = {}
+        self._schedules: dict[tuple[int, ...], list[Edge]] = {}
 
-    def _schedule(self, path_vs, leaf_vs) -> list[Edge]:
-        """``algorithm_a_queries`` on a copy of the construction, built and
-        checked once per querier."""
-        key = (tuple(path_vs), tuple(leaf_vs))
-        seq = self._schedules.get(key)
+    def _walk(self, state: QueryState, positions: tuple[int, ...]) -> tuple[Edge | None, int, bool]:
+        """Walk the schedule of the block at 1-based path ``positions``, each
+        with its leaf, through the answers in ``state``.
+
+        Returns the block's first unasked query, or else ``None``, the number
+        of positions asked up to and including the first DIFF (all of them
+        if every answer was SAME), and whether a DIFF came.  The schedule
+        asks the block's positions in order, so the asked ones are a prefix.
+        """
+        seq = self._schedules.get(positions)
         if seq is None:
-            seq = self._schedules[key] = algorithm_a_queries(self.construction.graph, *key)
-        return seq
-
-    def _copy_for(self, anchor_pos: int, j: int) -> tuple[list[int], list[int]]:
-        """Copy anchored at path position anchor_pos (1-based) with the
-        largest power-of-two block of fresh positions starting at j."""
-        k = self.k
-        cap = anchor_pos + 1 - j
-        size = 1
-        while size * 2 <= cap:
-            size *= 2
-        positions = [anchor_pos] + list(range(j, j + size - 1))
-        path_vs = [p - 1 for p in positions]
-        leaf_vs = [k + p - 1 for p in positions]
-        return path_vs, leaf_vs
+            k = self.k
+            seq = self._schedules[positions] = algorithm_a_queries(
+                self.construction.graph, [p - 1 for p in positions], [k + p - 1 for p in positions])
+        for t, q in enumerate(seq, 1):
+            if q not in state.queried:
+                return q, 0, False
+            diff = _was_diff(state, q)
+            if diff:
+                break
+        # each asked position brings its path vertex and its leaf
+        return None, len({v for q in seq[:t] for v in q}) // 2, diff
 
     def __call__(self, state: QueryState) -> Edge:
-        queried = state.queried
-        used_by_steps: set[int] = set()
-        j = 1
-        for step in range(1, self.b_eff + 1):
-            anchor_pos = self.k - step + 1
-            anchor_v = anchor_pos - 1
-            if anchor_v in used_by_steps and j > anchor_pos:
+        j, end = 1, self.k
+        for anchor in range(self.k, self.k - self.b_eff, -1):
+            if j > anchor:
                 break  # hub consumed by an earlier block: steps are over
-            path_vs, leaf_vs = self._copy_for(anchor_pos, j)
-            seq = self._schedule(path_vs, leaf_vs)
-            ended = False
-            for t, q in enumerate(seq):
-                if q not in queried:
-                    return q
-                if _was_diff(state, q):
-                    touched = set()
-                    for qq in seq[: t + 1]:
-                        touched.update(qq)
-                    used_by_steps |= touched
-                    block_touched = [p + 1 for p in path_vs[1:] if p in touched or p + self.k in touched]
-                    if block_touched:
-                        j = max(block_touched) + 1
-                    ended = True
-                    break
-            if not ended:
+            end = anchor - 1
+            size = 1 << ((anchor + 1 - j).bit_length() - 1)
+            query, asked, diff = self._walk(state, (anchor, *range(j, j + size - 1)))
+            if query is not None:
+                return query
+            j += asked - 1  # the hub itself is the block's first position
+            if not diff:
                 # all SAME: a monochromatic copy normally dominates and ends
                 # the play; when leftovers outweigh it, finish below
-                for q in seq:
-                    used_by_steps.update(q)
                 break
-        nxt = self._remainder_schedule_query(state, used_by_steps)
-        if nxt is not None:
-            return nxt
+        # positions 1..j-1 and end+1..k are asked, so j..end is the one run
+        # the steps never touched
+        while j <= end:
+            size = 1 << ((end + 1 - j).bit_length() - 1)
+            query, asked, _ = self._walk(state, tuple(range(j, j + size)))
+            if query is not None:
+                return query
+            j += asked
         return self._pairing_query(state)
-
-    def _remainder_schedule_query(self, state: QueryState, used_steps: set[int]) -> Edge | None:
-        """Process the path positions the hub steps never touched with the
-        same doubling schedule, largest power-of-two blocks first.  This
-        keeps every component order a power of two, which is what bounds
-        the total number of queries by n - b(n)."""
-        queried = state.queried
-        k = self.k
-        fresh = [p for p in range(1, k + 1) if (p - 1) not in used_steps]
-        i = 0
-        while i < len(fresh):
-            run_start = run_end = fresh[i]
-            while i + 1 < len(fresh) and fresh[i + 1] == run_end + 1:
-                i += 1
-                run_end = fresh[i]
-            i += 1
-            j = run_start
-            while j <= run_end:
-                size = 1
-                while size * 2 <= run_end - j + 1:
-                    size *= 2
-                positions = list(range(j, j + size))
-                path_vs = [p - 1 for p in positions]
-                leaf_vs = [k + p - 1 for p in positions]
-                seq = self._schedule(path_vs, leaf_vs)
-                advanced = None
-                for t, q in enumerate(seq):
-                    if q not in queried:
-                        return q
-                    if _was_diff(state, q):
-                        touched = set()
-                        for qq in seq[: t + 1]:
-                            touched.update(qq)
-                        hit = [p for p in positions if p - 1 in touched or k + p - 1 in touched]
-                        advanced = max(hit) + 1 if hit else j + size
-                        break
-                j = advanced if advanced is not None else j + size
-        return None
 
     def _pairing_query(self, state: QueryState) -> Edge:
         """Endgame: play the residual position exactly.

@@ -372,9 +372,9 @@ def solve_graph(graph: Graph, canonical: str = "auto", table_cap: int | None = N
     return GraphSolver(graph, canonical, table_cap).solve()
 
 
-def optimal_querier(graph: Graph, canonical: str = "auto"):
+def optimal_querier(graph: Graph):
     """A deterministic querier achieving m(G) against every adversary."""
-    solver = GraphSolver(graph, canonical)
+    solver = GraphSolver(graph)
     solver.solve()
     return solver.best_query
 

@@ -202,6 +202,23 @@ def test_nondet_path_table_rejects_malformed_range(capsys):
     assert out == "error: --odd-n '11..17' goes past n = 16\n"
 
 
+@pytest.mark.parametrize("graph, args, message", [
+    (star_graph(5), ["oddpath"], "expects the path 0-1-...-(n-1)"),
+    (path_graph(6), ["lefogo2"], "even trees are handled by the plain weight discipline"),
+    (path_graph(7), ["lefogo1", "--cover", "0,1,2,3"], "cover too large"),
+    (path_graph(7), ["eventrees"], "the construction needs an even number of vertices"),
+    (path_graph(7), ["lefogo2", "--p", "0"], "p must be positive"),
+    (path_graph(7), ["oddpath", "--vs", "random:x"], "the seed is not an integer"),
+    (path_graph(7), ["oddpath", "--vs", "bogus"], "unknown querier 'bogus'"),
+])
+def test_adversary_rejects_bad_input(capsys, tmp_path, graph, args, message):
+    f = tmp_path / "g.txt"
+    f.write_text(graph.to_text())
+    code, out = run_cli(capsys, ["adversary", args[0], str(f), *args[1:]])
+    assert code == 2
+    assert out.startswith("error: ") and message in out and out.count("\n") == 1
+
+
 def test_construct_verify(capsys):
     code, out = run_cli(capsys, ["construct", "minedge", "8", "--emit", "verify", "--json"])
     assert code == 0

@@ -119,6 +119,35 @@ def test_minedge_querier_worst_cases():
         assert report.max_queries == budget  # the bound is met exactly somewhere
 
 
+# the minedge querier's edge at each non-terminal state verify_querier
+# visits, in visit order, and the leaves of its answer trees for n = 2..16
+MINEDGE_QUERY_EDGES = {
+    8: "37 04 03 15 26 12 01 15 26 12 26 15 26 12 13 26 23 04 15 01 26 26 01 12 12 15 26 12 26",
+    9: "37 04 03 15 26 12 01 26 15 12 15 26 15 12 23 15 13 26 04 02 15 15 12 04 15 01 15",
+}
+MINEDGE_LEAVES = [2, 2, 5, 5, 11, 11, 30, 28, 72, 70, 189, 181, 467, 457, 1541]
+
+
+@pytest.mark.parametrize("n", sorted(MINEDGE_QUERY_EDGES))
+def test_minedge_querier_edges_are_unchanged(n):
+    querier = minedge_querier(n)
+    chosen = []
+
+    def recording(state):
+        edge = querier(state)
+        chosen.append(f"{edge[0]}{edge[1]}")
+        return edge
+
+    assert verify_querier(build_minedge_graph(n).graph, recording, n - popcount(n)).passed
+    assert chosen == MINEDGE_QUERY_EDGES[n].split()
+
+
+def test_minedge_answer_tree_leaves_are_unchanged():
+    leaves = [verify_querier(build_minedge_graph(n).graph, minedge_querier(n), n - popcount(n)).leaves_checked
+              for n in range(2, 17)]
+    assert leaves == MINEDGE_LEAVES
+
+
 def test_minedge_querier_all_same_playback():
     built = build_minedge_graph(8)
 

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from majority_game.bounds import popcount
 
 
@@ -38,3 +40,20 @@ def test_search_open_questions_smoke(capsys):
                     "  n=5: 2 with m_nd = 2, 1 with m_nd = 3",
                     "  n=7: 11 with m_nd = 4"]
     assert "n=7: worst gap so far n - m = 3" in out
+
+
+def test_reproduce_values_quick_smoke(capsys):
+    assert load_script("reproduce_values").main(["--quick"]) == 0
+    assert "\n7/7 checks passed in " in capsys.readouterr().out
+
+
+def test_reproduce_values_rejects_unknown_arguments(capsys):
+    script = load_script("reproduce_values")
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--quik"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quik" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--help"])
+    assert exc.value.code == 0
+    assert "--quick" in capsys.readouterr().out
