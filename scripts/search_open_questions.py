@@ -7,7 +7,8 @@ whatever the search finds.
   * tree floor: search small odd trees for m(T) < n - 3;
   * sparse optima: exact values of the hub construction vs its edge count,
     and an exhaustive walk of its querier's answer tree for n = 4..N, which
-    proves m(G_n) <= n - b(n) wherever it passes;
+    proves m(G_n) <= n - b(n) wherever it passes; each row gives the walk's
+    seconds and the process's peak resident memory so far;
   * verification complexity: the histogram of m_nd(T) over odd free trees,
     by the tree DP's minimum certificates.
 
@@ -16,6 +17,7 @@ Usage: python3 scripts/search_open_questions.py [--max-tree-n 11] [--max-total 1
 """
 
 import argparse
+import resource
 import time
 from collections import Counter
 
@@ -69,9 +71,10 @@ def main(argv=None) -> int:
         budget = n - popcount(n)
         report = verify_querier(build_minedge_graph(n).graph, minedge_querier(n), budget)
         verdict = "pass" if report.passed else f"FAIL at {report.failure_path}"
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
         print(f"  n={n}: {verdict}, {report.leaves_checked} leaves,"
               f" max {report.max_queries} queries vs n - b(n) = {budget}"
-              f" ({time.time() - start:.1f}s)", flush=True)
+              f" ({time.time() - start:.1f}s, peak RSS {rss_mb:.0f} MB)", flush=True)
 
     print(f"\nm_nd over odd free trees (n <= {args.max_mnd_n}):")
     for n in range(3, args.max_mnd_n + 1, 2):

@@ -109,9 +109,10 @@ def algorithm_a_queries(graph: Graph, path_vs, leaf_vs) -> list[Edge]:
 
 
 def _was_diff(state: QueryState, edge: Edge) -> bool:
+    """Whether an asked edge's endpoints lie on opposite sides."""
     u, v = edge
-    comp = state.component_of(u)
-    return (u in comp.side_a) != (v in comp.side_a)
+    side = state.components[state.owner[u]].mask_a
+    return bool((side >> u ^ side >> v) & 1)
 
 
 class MinedgeQuerier:
@@ -133,7 +134,7 @@ class MinedgeQuerier:
         self.k = n // 2
         self.b_eff = len(self.construction.hubs)
         self._endgame_solver = None
-        self._schedules: dict[tuple[int, ...], list[Edge]] = {}
+        self._schedules: dict[tuple[int, ...], tuple[list[Edge], list[int]]] = {}
 
     def _walk(self, state: QueryState, positions: tuple[int, ...]) -> tuple[Edge | None, int, bool]:
         """Walk the schedule of the block at 1-based path ``positions``, each
@@ -144,19 +145,25 @@ class MinedgeQuerier:
         if every answer was SAME), and whether a DIFF came.  The schedule
         asks the block's positions in order, so the asked ones are a prefix.
         """
-        seq = self._schedules.get(positions)
-        if seq is None:
+        cached = self._schedules.get(positions)
+        if cached is None:
             k = self.k
-            seq = self._schedules[positions] = algorithm_a_queries(
+            seq = algorithm_a_queries(
                 self.construction.graph, [p - 1 for p in positions], [k + p - 1 for p in positions])
-        for t, q in enumerate(seq, 1):
+            # each asked position brings its path vertex and its leaf
+            touched: set[int] = set()
+            reach = []
+            for q in seq:
+                touched.update(q)
+                reach.append(len(touched) // 2)
+            cached = self._schedules[positions] = (seq, reach)
+        seq, reach = cached
+        for t, q in enumerate(seq):
             if q not in state.queried:
                 return q, 0, False
-            diff = _was_diff(state, q)
-            if diff:
-                break
-        # each asked position brings its path vertex and its leaf
-        return None, len({v for q in seq[:t] for v in q}) // 2, diff
+            if _was_diff(state, q):
+                return None, reach[t], True
+        return None, reach[-1], False
 
     def __call__(self, state: QueryState) -> Edge:
         j, end = 1, self.k
@@ -227,41 +234,41 @@ def verify_querier(graph: Graph, strategy, budget: int) -> VerifyReport:
     """Walk the full binary answer tree of a querier strategy.
 
     Passes iff every leaf is reached within the budget and its outcome is
-    valid for every coloring consistent with the leaf state.  On failure
-    the report carries the answer path verbatim.
+    valid for every coloring consistent with the leaf state.  The walk
+    keeps its answer path as (edge, answer) pairs; on failure the report
+    carries it as ``QUERY u v -> ANSWER`` lines.
     """
     from .core import Answer
 
     report = VerifyReport(max_queries=0, budget=budget, passed=True, leaves_checked=0)
+    path: list[tuple[Edge, Answer]] = []
 
-    def rec(state: QueryState, depth: int, path: list[str]) -> bool:
+    def fail(*last: str) -> bool:
+        report.passed = False
+        report.failure_path = [f"QUERY {u} {v} -> {ans.value}" for (u, v), ans in path] + list(last)
+        return False
+
+    def rec(state: QueryState, depth: int) -> bool:
         outcome = terminal_outcome(state)
         if outcome is not None:
             report.leaves_checked += 1
             report.max_queries = max(report.max_queries, depth)
             if depth > budget or not outcome_valid(state, outcome):
-                report.passed = False
-                report.failure_path = list(path)
-                return False
+                return fail()
             return True
         if depth >= budget:
-            report.passed = False
-            report.failure_path = list(path) + ["<budget exhausted before terminal>"]
-            return False
+            return fail("<budget exhausted before terminal>")
         try:
             edge = normalize_edge(*strategy(state))
         except Exception as exc:  # noqa: BLE001 - strategy errors are findings
-            report.passed = False
-            report.failure_path = list(path) + [f"<strategy error: {exc}>"]
-            return False
+            return fail(f"<strategy error: {exc}>")
         for ans in (Answer.SAME, Answer.DIFF):
-            nxt = apply_query(state, edge, ans)
-            path.append(f"QUERY {edge[0]} {edge[1]} -> {ans.value}")
-            ok = rec(nxt, depth + 1, path)
+            path.append((edge, ans))
+            ok = rec(apply_query(state, edge, ans), depth + 1)
             path.pop()
             if not ok:
                 return False
         return True
 
-    rec(initial_state(graph), 0, [])
+    rec(initial_state(graph), 0)
     return report

@@ -4,16 +4,18 @@ Vertices of a graph carry an unknown red/blue coloring.  The querier asks
 edges and learns whether the endpoints share a color (SAME) or not (DIFF).
 The answered queries partition the vertices into q-components; inside each
 component the color classes are known up to a global flip, so a component
-is stored as an unordered split into two sides.  The weight of a component
-is the size difference of its sides.  All types here are immutable values
-and all operations are pure functions.
+is stored as an unordered split into two sides, each a vertex bitmask.  The
+weight of a component is the size difference of its sides, a difference of
+popcounts.  A state lists its components by lowest vertex and maps each
+vertex to its component's index, so finding a vertex's component is one
+lookup and finding its side is one bit test.  All types here are immutable
+values and all operations are pure functions.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 RED = "R"
@@ -61,6 +63,8 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
+        if n < 0:
+            raise InputError(f"n must be non-negative, got {n}")
         norm = set()
         for u, v in edges:
             if u == v:
@@ -137,41 +141,63 @@ def parse_coloring(text: str, n: int | None = None) -> str:
     return c
 
 
-@dataclass(frozen=True)
-class Component:
-    """A q-component: the two color-class sides, stored canonically.
+def _mask_vertices(m: int) -> tuple[int, ...]:
+    """The vertices of a mask, in increasing order."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)
 
-    Canonical form puts the lexicographically smaller side first (the
-    empty side, if any, sorts first), so states equal up to a color flip
-    compare equal.
+
+@dataclass(frozen=True, slots=True)
+class Component:
+    """A q-component: the two color-class sides as vertex masks, stored
+    canonically.
+
+    Canonical form puts the empty side first, if there is one, and else
+    the side holding the component's lowest vertex, so states equal up to
+    a color flip compare equal.
     """
 
-    side_a: tuple[int, ...]
-    side_b: tuple[int, ...]
+    mask_a: int
+    mask_b: int
 
     @staticmethod
     def make(side1, side2) -> "Component":
-        a, b = tuple(sorted(side1)), tuple(sorted(side2))
-        if b < a:
+        return Component.from_masks(sum(1 << v for v in side1), sum(1 << v for v in side2))
+
+    @staticmethod
+    def from_masks(a: int, b: int) -> "Component":
+        if a and (not b or b & -b < a & -a):
             a, b = b, a
         return Component(a, b)
 
     @property
+    def side_a(self) -> tuple[int, ...]:
+        return _mask_vertices(self.mask_a)
+
+    @property
+    def side_b(self) -> tuple[int, ...]:
+        return _mask_vertices(self.mask_b)
+
+    @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.side_a + self.side_b))
+        return _mask_vertices(self.mask_a | self.mask_b)
 
     @property
     def weight(self) -> int:
-        return abs(len(self.side_a) - len(self.side_b))
+        return abs(self.mask_a.bit_count() - self.mask_b.bit_count())
 
-    @property
-    def heavy_side(self) -> tuple[int, ...]:
-        if self.weight == 0:
-            raise ValueError("balanced component has no heavy side")
-        return self.side_a if len(self.side_a) > len(self.side_b) else self.side_b
+    def excess(self, v: int) -> int:
+        """The size of v's side minus the size of the other side."""
+        d = self.mask_a.bit_count() - self.mask_b.bit_count()
+        return d if self.mask_a >> v & 1 else -d
 
     def min_vertex(self) -> int:
-        return min(itertools.chain(self.side_a, self.side_b))
+        m = self.mask_a | self.mask_b
+        return (m & -m).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -194,29 +220,29 @@ class Outcome:
 
 @dataclass(frozen=True)
 class QueryState:
-    """Partition into q-components plus the set of answered queries."""
+    """Partition into q-components plus the set of answered queries.
+
+    The components are sorted by their lowest vertex; ``owner`` maps each
+    vertex to the index of its component.
+    """
 
     graph: Graph
     components: tuple[Component, ...]
     queried: frozenset[Edge]
+    owner: tuple[int, ...] = field(compare=False, repr=False)
 
     def component_of(self, v: int) -> Component:
         return self.components[self.component_index(v)]
 
     def component_index(self, v: int) -> int:
-        for i, comp in enumerate(self.components):
-            if v in comp.side_a or v in comp.side_b:
-                return i
-        raise ValueError(f"vertex {v} not in any component")
+        if not 0 <= v < self.graph.n:
+            raise ValueError(f"vertex {v} not in any component")
+        return self.owner[v]
 
 
 def initial_state(graph: Graph) -> QueryState:
-    comps = tuple(Component.make((v,), ()) for v in range(graph.n))
-    return QueryState(graph, comps, frozenset())
-
-
-def _canon_components(comps) -> tuple[Component, ...]:
-    return tuple(sorted(comps, key=lambda c: c.min_vertex()))
+    comps = tuple(Component(0, 1 << v) for v in range(graph.n))
+    return QueryState(graph, comps, frozenset(), tuple(range(graph.n)))
 
 
 def apply_query(state: QueryState, edge: Edge, answer: Answer) -> QueryState:
@@ -224,26 +250,30 @@ def apply_query(state: QueryState, edge: Edge, answer: Answer) -> QueryState:
 
     SAME unions the sides containing the endpoints; DIFF unions each with
     the opposite side.  Queries inside one component are rejected: their
-    answer is already forced by transitivity.
+    answer is already forced by transitivity.  The merged component keeps
+    the place of the one with the lower vertex, so the order holds.
     """
     u, v = edge
     e = normalize_edge(u, v)
     if e not in state.graph.edges:
         raise IllegalQueryError(f"edge {e} is not in the graph")
-    iu = state.component_index(u)
-    iv = state.component_index(v)
-    if iu == iv:
+    owner = state.owner
+    i, j = owner[u], owner[v]
+    if i == j:
         raise IllegalQueryError(f"edge {e} lies inside one q-component")
-    cu, cv = state.components[iu], state.components[iv]
-    u_side, u_other = (cu.side_a, cu.side_b) if u in cu.side_a else (cu.side_b, cu.side_a)
-    v_side, v_other = (cv.side_a, cv.side_b) if v in cv.side_a else (cv.side_b, cv.side_a)
-    if answer is Answer.SAME:
-        merged = Component.make(u_side + v_side, u_other + v_other)
-    else:
-        merged = Component.make(u_side + v_other, u_other + v_side)
-    rest = [c for i, c in enumerate(state.components) if i not in (iu, iv)]
-    rest.append(merged)
-    return QueryState(state.graph, _canon_components(rest), state.queried | {e})
+    comps = state.components
+    cu, cv = comps[i], comps[j]
+    # orient each component as (the endpoint's side, the other side)
+    su, ou = (cu.mask_a, cu.mask_b) if cu.mask_a >> u & 1 else (cu.mask_b, cu.mask_a)
+    sv, ov = (cv.mask_a, cv.mask_b) if cv.mask_a >> v & 1 else (cv.mask_b, cv.mask_a)
+    if answer is Answer.DIFF:
+        sv, ov = ov, sv
+    merged = Component.from_masks(su | sv, ou | ov)
+    if i > j:
+        i, j = j, i
+    comps = (*comps[:i], merged, *comps[i + 1 : j], *comps[j + 1 :])
+    owner = tuple([o if o < j else i if o == j else o - 1 for o in owner])
+    return QueryState(state.graph, comps, state.queried | {e}, owner)
 
 
 def component_weights(state: QueryState) -> tuple[int, ...]:
@@ -261,13 +291,18 @@ def terminal_outcome(state: QueryState) -> Outcome | None:
     iff one component outweighs all others combined, in which case any
     vertex of its heavy side works (we return the smallest).
     """
-    weights = [c.weight for c in state.components]
-    total = sum(weights)
+    total = top = 0
+    heavy = None
+    for c in state.components:
+        a, b = c.mask_a.bit_count(), c.mask_b.bit_count()
+        w = abs(a - b)
+        total += w
+        if w > top:
+            top, heavy = w, (c.mask_a if a > b else c.mask_b)
     if total == 0:
         return Outcome.no_majority()
-    i = max(range(len(weights)), key=weights.__getitem__)
-    if weights[i] > total - weights[i]:
-        return Outcome.majority_vertex(min(state.components[i].heavy_side))
+    if 2 * top > total:
+        return Outcome.majority_vertex((heavy & -heavy).bit_length() - 1)
     return None
 
 
@@ -298,9 +333,6 @@ def outcome_valid(state: QueryState, outcome: Outcome) -> bool:
     if outcome.majority is None:
         return set(signed_sum_counts(c.weight for c in state.components)) == {0}
     i = state.component_index(outcome.majority)
-    comp = state.components[i]
-    d = len(comp.side_a) - len(comp.side_b)
-    if outcome.majority in comp.side_b:
-        d = -d
+    d = state.components[i].excess(outcome.majority)
     others = (c.weight for j, c in enumerate(state.components) if j != i)
     return all(d + s > 0 for s in signed_sum_counts(others))

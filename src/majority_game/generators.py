@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .core import Graph
+from .core import Graph, InputError
 
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
 
@@ -169,6 +169,8 @@ def tree_certificate(graph: Graph) -> tuple:
 
 def free_trees(n: int):
     """Yield one representative per isomorphism class of trees on n vertices."""
+    if n < 1:
+        raise InputError(f"free trees need n >= 1, got {n}")
     seen = set()
     for levels in _rooted_level_sequences(n):
         g = _graph_from_levels(levels)

@@ -128,13 +128,7 @@ def root_codes(n: int) -> tuple[int, ...]:
 
 def encode_state(state: QueryState) -> tuple[int, ...]:
     shift = state.graph.n.bit_length()
-    codes = []
-    for comp in state.components:
-        m = 0
-        for v in comp.side_a + comp.side_b:
-            m |= 1 << v
-        codes.append((m << shift) | comp.weight)
-    return tuple(sorted(codes))
+    return tuple(sorted(((c.mask_a | c.mask_b) << shift) | c.weight for c in state.components))
 
 
 def _vertex_comp(n: int, codes) -> list[int]:
@@ -383,10 +377,8 @@ def answer_for_target(state: QueryState, edge: Edge, target: int) -> Answer:
     """Translate an adversary's chosen merge weight into SAME or DIFF for
     the concrete splits of the state; SAME is preferred on ties."""
     u, v = edge
-    cu = state.component_of(u)
-    cv = state.component_of(v)
-    du = (len(cu.side_a) - len(cu.side_b)) * (1 if u in cu.side_a else -1)
-    dv = (len(cv.side_a) - len(cv.side_b)) * (1 if v in cv.side_a else -1)
+    du = state.component_of(u).excess(u)
+    dv = state.component_of(v).excess(v)
     if abs(du + dv) == target:
         return Answer.SAME
     if abs(du - dv) == target:

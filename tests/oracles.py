@@ -6,10 +6,14 @@ and the atlas inputs that several differential tests share.
 * the all-pairs ``best_query``: search both answers of every component pair
   exactly, then take the smallest edge across a pair of least value;
 * the hardness base check that runs both parts of the equal-head lemma on
-  every vector, whatever the parity of its total.
+  every vector, whatever the parity of its total;
+* the split state as sorted side tuples, with its per-vertex component
+  scan, its tuple-rebuilding merge, its outcome checks and the per-vertex
+  packing of its components.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import pytest
 
@@ -21,7 +25,7 @@ from majority_game.bounds import (
     _suly2,
     hard_level,
 )
-from majority_game.core import BLUE, RED, Graph, QueryState
+from majority_game.core import BLUE, RED, Answer, Graph, IllegalQueryError, Outcome, QueryState, normalize_edge
 from majority_game.graphsolver import GameView, _merge_codes, _merge_nbrs, encode_state
 from majority_game.weighted import signed_sum_counts
 
@@ -141,3 +145,108 @@ def base_hard_certificate_both_parts(w):
     _suly2(w, certs)
     level = hard_level(w)
     return next((c for c in certs if c.bound == level), None)
+
+
+# -- the split state as sorted side tuples -------------------------------
+
+
+@dataclass(frozen=True)
+class TupleComponent:
+    """The two sides as sorted tuples, the lexicographically smaller first."""
+
+    side_a: tuple[int, ...]
+    side_b: tuple[int, ...]
+
+    @staticmethod
+    def make(side1, side2) -> "TupleComponent":
+        a, b = tuple(sorted(side1)), tuple(sorted(side2))
+        if b < a:
+            a, b = b, a
+        return TupleComponent(a, b)
+
+    @property
+    def weight(self) -> int:
+        return abs(len(self.side_a) - len(self.side_b))
+
+    @property
+    def heavy_side(self) -> tuple[int, ...]:
+        return self.side_a if len(self.side_a) > len(self.side_b) else self.side_b
+
+    def min_vertex(self) -> int:
+        return min(itertools.chain(self.side_a, self.side_b))
+
+
+@dataclass(frozen=True)
+class TupleState:
+    graph: Graph
+    components: tuple[TupleComponent, ...]
+    queried: frozenset
+
+
+def tuple_initial_state(graph: Graph) -> TupleState:
+    return TupleState(graph, tuple(TupleComponent.make((v,), ()) for v in range(graph.n)), frozenset())
+
+
+def tuple_component_index(state: TupleState, v: int) -> int:
+    for i, comp in enumerate(state.components):
+        if v in comp.side_a or v in comp.side_b:
+            return i
+    raise ValueError(f"vertex {v} not in any component")
+
+
+def tuple_apply_query(state: TupleState, edge, answer: Answer) -> TupleState:
+    u, v = edge
+    e = normalize_edge(u, v)
+    if e not in state.graph.edges:
+        raise IllegalQueryError(f"edge {e} is not in the graph")
+    iu = tuple_component_index(state, u)
+    iv = tuple_component_index(state, v)
+    if iu == iv:
+        raise IllegalQueryError(f"edge {e} lies inside one q-component")
+    cu, cv = state.components[iu], state.components[iv]
+    u_side, u_other = (cu.side_a, cu.side_b) if u in cu.side_a else (cu.side_b, cu.side_a)
+    v_side, v_other = (cv.side_a, cv.side_b) if v in cv.side_a else (cv.side_b, cv.side_a)
+    if answer is Answer.SAME:
+        merged = TupleComponent.make(u_side + v_side, u_other + v_other)
+    else:
+        merged = TupleComponent.make(u_side + v_other, u_other + v_side)
+    rest = [c for i, c in enumerate(state.components) if i not in (iu, iv)]
+    rest.append(merged)
+    comps = tuple(sorted(rest, key=lambda c: c.min_vertex()))
+    return TupleState(state.graph, comps, state.queried | {e})
+
+
+def tuple_terminal_outcome(state: TupleState):
+    weights = [c.weight for c in state.components]
+    total = sum(weights)
+    if total == 0:
+        return Outcome.no_majority()
+    i = max(range(len(weights)), key=weights.__getitem__)
+    if weights[i] > total - weights[i]:
+        return Outcome.majority_vertex(min(state.components[i].heavy_side))
+    return None
+
+
+def tuple_outcome_valid(state: TupleState, outcome) -> bool:
+    if outcome.majority is None:
+        return set(signed_sum_counts(c.weight for c in state.components)) == {0}
+    i = tuple_component_index(state, outcome.majority)
+    comp = state.components[i]
+    d = len(comp.side_a) - len(comp.side_b)
+    if outcome.majority in comp.side_b:
+        d = -d
+    others = (c.weight for j, c in enumerate(state.components) if j != i)
+    return all(d + s > 0 for s in signed_sum_counts(others))
+
+
+def tuple_encode_state(state: TupleState) -> tuple[int, ...]:
+    """The packed codes of ``graphsolver.encode_state``, built vertex by
+    vertex."""
+    shift = state.graph.n.bit_length()
+    codes = []
+    for comp in state.components:
+        m = 0
+        for v in comp.side_a + comp.side_b:
+            m |= 1 << v
+        codes.append((m << shift) | comp.weight)
+    return tuple(sorted(codes))

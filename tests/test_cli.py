@@ -232,6 +232,15 @@ def test_generate_minedge_rejects_n_below_two(capsys):
     assert out == "error: n must be at least 2\n"
 
 
+@pytest.mark.parametrize("kind, n", [("path", -3), ("star", -1), ("complete", -1), ("random-tree", -2),
+                                     ("random-graph", -1), ("free-trees", -1), ("free-trees", 0)])
+def test_generate_rejects_too_few_vertices(capsys, kind, n):
+    code, out = run_cli(capsys, ["generate", kind, str(n)])
+    assert code == 2
+    expected = f"free trees need n >= 1, got {n}" if kind == "free-trees" else f"n must be non-negative, got {n}"
+    assert out == f"error: {expected}\n"
+
+
 def test_construct_minedge_rejects_n_below_two(capsys):
     code, out = run_cli(capsys, ["construct", "minedge", "1"])
     assert code == 2

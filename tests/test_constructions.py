@@ -13,7 +13,7 @@ from majority_game.constructions import (
     minedge_querier,
     verify_querier,
 )
-from majority_game.core import Answer, apply_query, initial_state, terminal_outcome
+from majority_game.core import Answer, StrategyError, apply_query, initial_state, terminal_outcome
 from majority_game.generators import path_graph
 from majority_game.graphsolver import play
 
@@ -188,7 +188,40 @@ def test_all_diff_play_leaves_balanced_power_components():
 def test_verify_querier_fails_below_the_true_budget():
     report = verify_querier(build_minedge_graph(8).graph, minedge_querier(8), 6)
     assert not report.passed
-    assert report.failure_path  # the failing answer path is reported verbatim
+    assert report.failure_path == [
+        "QUERY 3 7 -> SAME", "QUERY 0 4 -> SAME", "QUERY 0 3 -> SAME", "QUERY 1 5 -> SAME",
+        "QUERY 2 6 -> SAME", "QUERY 1 2 -> SAME", "<budget exhausted before terminal>",
+    ]
+
+
+def test_verify_querier_reports_the_failing_spanning_walk():
+    from majority_game.adversary import spanning_querier
+
+    g = path_graph(6)
+    report = verify_querier(g, spanning_querier(g), 4)
+    assert (report.passed, report.leaves_checked, report.max_queries) == (False, 1, 3)
+    assert report.failure_path == [
+        "QUERY 0 1 -> SAME", "QUERY 1 2 -> SAME", "QUERY 2 3 -> DIFF", "QUERY 3 4 -> SAME",
+        "<budget exhausted before terminal>",
+    ]
+
+
+def test_verify_querier_reports_strategy_errors():
+    from majority_game.adversary import spanning_querier
+
+    g = path_graph(6)
+    inner = spanning_querier(g)
+
+    def querier(state):
+        if len(state.queried) == 2:
+            raise StrategyError(f"no edge for {sorted(state.queried)}")
+        return inner(state)
+
+    report = verify_querier(g, querier, 5)
+    assert not report.passed
+    assert report.failure_path == [
+        "QUERY 0 1 -> SAME", "QUERY 1 2 -> SAME", "<strategy error: no edge for [(0, 1), (1, 2)]>",
+    ]
 
 
 def test_verify_querier_spanning_on_path():

@@ -1,15 +1,27 @@
 """State semantics: merges, weights, consistent colorings, terminal detection."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import consistent_colorings, count_consistent
+from oracles import (
+    consistent_colorings,
+    count_consistent,
+    tuple_apply_query,
+    tuple_component_index,
+    tuple_encode_state,
+    tuple_initial_state,
+    tuple_outcome_valid,
+    tuple_terminal_outcome,
+)
 
 from majority_game.core import (
     Answer,
     Component,
     Graph,
     IllegalQueryError,
+    Outcome,
     apply_query,
     component_weights,
     initial_state,
@@ -17,6 +29,7 @@ from majority_game.core import (
     terminal_outcome,
 )
 from majority_game.generators import complete_graph, path_graph, random_graph
+from majority_game.graphsolver import encode_state
 
 
 def play_edges(graph, moves):
@@ -125,6 +138,36 @@ def test_canonical_split_is_idempotent():
     assert Component.make(c.side_a, c.side_b) == c
     assert Component.make(c.side_b, c.side_a) == c
     assert Component.make((), (0,)).side_a == ()
+
+
+def test_mask_state_matches_the_tuple_state():
+    # seeded random legal plays, each to the last cross-component edge,
+    # against the split state held as sorted side tuples
+    rng = random.Random(15)
+    states = 0
+    for seed in range(300):
+        n = rng.randint(1, 12)
+        g = random_graph(n, rng.choice((0.2, 0.4, 0.7)), seed=seed)
+        state, ref = initial_state(g), tuple_initial_state(g)
+        claims = [Outcome.no_majority()] + [Outcome.majority_vertex(v) for v in range(n)]
+        while True:
+            states += 1
+            assert [(c.side_a, c.side_b) for c in state.components] == [(c.side_a, c.side_b) for c in ref.components]
+            owners = [tuple_component_index(ref, v) for v in range(n)]
+            assert [state.component_index(v) for v in range(n)] == owners
+            assert [c.weight for c in state.components] == [c.weight for c in ref.components]
+            assert terminal_outcome(state) == tuple_terminal_outcome(ref)
+            assert [outcome_valid(state, c) for c in claims] == [tuple_outcome_valid(ref, c) for c in claims]
+            assert encode_state(state) == tuple_encode_state(ref)
+            legal = [(u, v) for u, v in g.sorted_edges if owners[u] != owners[v]]
+            if not legal:
+                break
+            u, v = rng.choice(legal)
+            edge = (u, v) if rng.random() < 0.5 else (v, u)
+            answer = rng.choice((Answer.SAME, Answer.DIFF))
+            state, ref = apply_query(state, edge, answer), tuple_apply_query(ref, edge, answer)
+        assert state.queried == ref.queried
+    assert states > 1500
 
 
 @st.composite

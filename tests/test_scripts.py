@@ -1,6 +1,7 @@
 """The scripts under scripts/ run and print what their docstrings promise."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -31,9 +32,10 @@ def test_search_open_questions_smoke(capsys):
     assert load_script("search_open_questions").main(argv) == 0
     out = capsys.readouterr().out
     section = out.split("hub construction answer trees (n <= 8):\n")[1]
-    rows = [line.split(" (")[0] for line in section.splitlines()[:5]]
-    assert rows == [f"  n={n}: pass, {leaves} leaves, max {n - popcount(n)} queries vs n - b(n) = {n - popcount(n)}"
-                    for n, leaves in [(4, 5), (5, 5), (6, 11), (7, 11), (8, 30)]]
+    rows, stats = zip(*(line.split(" (") for line in section.splitlines()[:5]))
+    assert all(re.fullmatch(r"\d+\.\ds, peak RSS [1-9]\d* MB\)", s) for s in stats), stats
+    assert list(rows) == [f"  n={n}: pass, {leaves} leaves, max {n - popcount(n)} queries vs n - b(n) = {n - popcount(n)}"
+                          for n, leaves in [(4, 5), (5, 5), (6, 11), (7, 11), (8, 30)]]
     section = out.split("m_nd over odd free trees (n <= 7):\n")[1]
     rows = [line.split(" (")[0] for line in section.splitlines()[:3]]
     assert rows == ["  n=3: 1 with m_nd = 1",
