@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .weighted import (
     WeightVector,
+    hard_level,
     normalize,
     signed_sum_counts,
     signed_sum_parity,
@@ -273,12 +274,6 @@ def _o1g(w: WeightVector, certs: list[Certificate]) -> None:
         certs.append(
             Certificate(k - 3, CertificateSource.O1G, {"n": p2.bit_length() - 1, "head": head})
         )
-
-
-def hard_level(w) -> int:
-    """The trivial upper bound on m(w) that a hard vector attains: k-1 for
-    an even total, k-2 for an odd total."""
-    return len(w) - 1 if sum(w) % 2 == 0 else len(w) - 2
 
 
 def _base_hard_certificate(w: WeightVector) -> Certificate | None:

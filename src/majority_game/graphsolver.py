@@ -32,13 +32,24 @@ components where the search is entered: at the root and at each state
 
 Pruning: the search is fail-high.  ``_value(codes, nbrs, cnt, beta)``
 returns the exact value when it is below beta and otherwise a proven lower
-bound of at least beta: a node's best starts at beta, and both answers of
-a move are searched with the cutoff best - 1, since a child worth that
-much or more cannot improve the move.  The weighted game on the current
-component weights is a relaxation of the graph game (it allows every
-pair), so its exact value is a lower bound; a node returns at once when it reaches beta,
-and the querier loop stops as soon as a move meets it.  A move's second
-answer is searched only when its first does not already cut the move.
+bound of at least beta: a node's best starts at beta (or at ub, below),
+and both answers of a move are searched with the cutoff best - 1, since a
+child worth that much or more cannot improve the move.  The weighted game
+on the current component weights is a relaxation of the graph game (it
+allows every pair), so its exact value lb is a lower bound; a node
+returns at once when lb reaches beta, and the querier loop stops as soon
+as a move meets lb.  The upper bound ub = k - 1 - (n & 1) - z, for k
+components, is the cost of one strategy: merge the components along the
+graph's edges until one is left, or two on an odd total (the total has
+the parity of n, and two weights with an odd sum differ, so one outweighs
+the rest).  It skips the z zero-weight components whose neighbours lie
+inside at most one other component: such a component connects no two
+others, now or after any merge, so the rest merge without it, and it
+weighs nothing at the end.  A node with lb >= ub is exact at ub and is
+closed unexpanded (``closed_by_upper`` counts these); otherwise its best
+starts at min(ub, beta), and a search that finds no move below ub proves
+ub exact.  A move's second answer is searched only when its first does
+not already cut the move.
 The table has two kinds of entry: exact values, which answer every
 lookup, and lower bounds from nodes that found no move below their beta,
 which answer a lookup whose cutoff they reach and otherwise seed the
@@ -94,6 +105,7 @@ class SolveResult:
     canonical: str
     table_entries: int  # exact values and lower bounds together
     bound_entries: int
+    closed_by_upper: int  # nodes closed, unexpanded, by lb >= ub
 
 
 @dataclass(frozen=True)
@@ -242,6 +254,7 @@ class GraphSolver:
         self.bound_table: dict[tuple[int, ...], int] = {}  # lower bounds
         self.table_cap = table_cap
         self.nodes = 0
+        self.closed = 0  # nodes whose lower bound met the upper bound
 
     def _key(self, codes: tuple[int, ...]) -> tuple[int, ...]:
         if self.canonical == "generic":
@@ -264,6 +277,24 @@ class GraphSolver:
         """``_value`` on a packed state given by its codes alone."""
         return self._value(codes, *self._carried(GameView(self.graph, codes)), beta)
 
+    def _upper(self, weights, masks, nbrs) -> int:
+        """A strategy's cost from a non-terminal state: merge the components
+        along the graph's edges, all but one on an even total and all but
+        two on an odd one, skipping each zero-weight component whose
+        neighbours lie inside at most one other component."""
+        ub = len(masks) - 1 - (self.n & 1)
+        if 0 in weights:
+            for w, nb in zip(weights, nbrs):
+                if not w:
+                    for m in masks:
+                        if m & nb:  # the component of its first neighbour
+                            if not nb & ~m:
+                                ub -= 1
+                            break
+                    else:  # no neighbours at all
+                        ub -= 1
+        return ub
+
     def _value(self, codes: tuple[int, ...], nbrs: tuple[int, ...], cnt: int, beta: int) -> int:
         """The state's exact value if it is below beta, else a proven lower
         bound on it that is at least beta.  ``nbrs[i]`` holds the vertices
@@ -279,9 +310,13 @@ class GraphSolver:
         lb = max(self.bound_table.get(key, 0), lb)
         if lb >= beta:
             return lb
-        self.nodes += 1
         weights = [c & wmask for c in codes]
         masks = [c >> shift for c in codes]
+        ub = self._upper(weights, masks, nbrs)
+        if lb >= ub:
+            self.closed += 1
+            return self._store(key, ub, self.table)
+        self.nodes += 1
         moves = []
         for j, mj in enumerate(masks):
             for i in range(j):
@@ -297,7 +332,9 @@ class GraphSolver:
                     else:
                         moves.append((1 + lb_plus, -plus, i, j, plus, minus))
         moves.sort()
-        best = beta  # only a move below beta is of use to the caller
+        # only a move below beta is of use to the caller, and only one below
+        # ub can change the value; a search that finds none proves ub exact
+        best = min(ub, beta)
         for est, _, i, j, first, second in moves:
             if est >= best:  # ordered by est: no later move can improve
                 break
@@ -328,7 +365,7 @@ class GraphSolver:
         value = self._search(root_codes(self.n), self.n)  # every value is below n
         ms = (time.perf_counter() - t0) * 1000.0
         entries = len(self.table) + len(self.bound_table)
-        return SolveResult(value, self.nodes, ms, self.canonical, entries, len(self.bound_table))
+        return SolveResult(value, self.nodes, ms, self.canonical, entries, len(self.bound_table), self.closed)
 
     def best_query(self, state: QueryState) -> Edge:
         """Optimal move in a state; ties go to the smallest canonical edge.

@@ -115,8 +115,19 @@ def clear() -> None:
     _memo.clear()
 
 
+def hard_level(w) -> int:
+    """The trivial upper bound on m(w), which a hard vector attains: k - 1
+    on an even total and k - 2 on an odd one (see `_solve`)."""
+    return len(w) - 1 - (sum(w) & 1)
+
+
 def _solve(w: WeightVector) -> int:
     """Minimax value on a sorted, zero-free weight multiset.
+
+    The search starts from `hard_level(w)`: merging all k balls into one
+    ends the game, and on an odd total merging them into two already does,
+    as two weights with an odd sum differ.  Only a move below that level is
+    of use, and a search that finds none proves the level exact.
 
     Each move solves its DIFF child first: when that child alone already
     makes the move no better than `best`, the SAME child is skipped.  Every
@@ -129,7 +140,7 @@ def _solve(w: WeightVector) -> int:
     if not w or 2 * w[0] > sum(w):  # the terminal test of weighted_terminal
         _memo[w] = 0
         return 0
-    best = len(w) - 1  # query everything but one ball always suffices
+    best = hard_level(w)
     for a, b in _value_pairs(w):
         plus, minus = successors(w, a, b)
         m = _solve(minus)

@@ -52,6 +52,20 @@ def test_solve_graph_from_file(capsys, path6_file):
     assert 0 < payload["bound_entries"] < payload["table_entries"]
 
 
+def test_solve_graph_json_counts_upper_bound_closings(capsys, tmp_path):
+    f = tmp_path / "p15.txt"
+    f.write_text(path_graph(15).to_text())
+    runs = []
+    for _ in range(2):
+        code, out = run_cli(capsys, ["solve-graph", str(f), "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        del payload["runtime_ms"]
+        runs.append(payload)
+    assert runs[0]["value"] == 12 and runs[0]["closed_by_upper"] > 0
+    assert runs[0] == runs[1]
+
+
 def test_solve_graph_rejects_unsolvable(capsys, tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("4 2\n0 1\n2 3\n")

@@ -1,5 +1,6 @@
 """Graph game solver: values, strategies, playback, forced counts."""
 
+import functools
 import random
 
 import pytest
@@ -36,6 +37,13 @@ from majority_game.weighted import solve_weighted
 def reference_value(graph):
     """Independent oracle: minimax over full split-level states, memoized
     on the canonical splits themselves (no weight-level identification)."""
+    return reference_search(graph)[0]
+
+
+@functools.cache  # the atlas tests share one search per graph
+def reference_search(graph):
+    """``reference_value`` and its memo: every non-terminal split state the
+    recursion reaches, as (state, value) pairs keyed by their splits."""
     from majority_game.core import Answer, apply_query, initial_state, terminal_outcome
 
     memo = {}
@@ -48,7 +56,7 @@ def reference_value(graph):
             return 0
         k = key(state)
         if k in memo:
-            return memo[k]
+            return memo[k][1]
         comp_of = {}
         for idx, comp in enumerate(state.components):
             for x in comp.side_a + comp.side_b:
@@ -62,10 +70,10 @@ def reference_value(graph):
                 rec(apply_query(state, e, Answer.DIFF)),
             )
             best = min(best, v)
-        memo[k] = best
+        memo[k] = (state, best)
         return best
 
-    return rec(initial_state(graph))
+    return rec(initial_state(graph)), memo
 
 
 def test_weight_level_keys_match_split_level_oracle():
@@ -321,10 +329,15 @@ def test_exact_weighted_adversary_is_optimal_on_complete_graphs():
 
 
 def test_solver_reports_statistics():
+    # P9's root closes unexpanded: its weighted bound 9 - b(9) = 7 meets
+    # the odd-total strategy bound n - 2; P10's bound 8 is below n - 1 = 9
     res = solve_graph(path_graph(9))
     assert res.value == 7
-    assert res.nodes_expanded > 0 and res.table_entries > 0
+    assert res.nodes_expanded == 0 and res.closed_by_upper == 1 and res.table_entries == 1
     assert res.canonical == "path"
+    res = solve_graph(path_graph(10))
+    assert res.value == 9
+    assert res.nodes_expanded > 0 and res.table_entries > 0
 
 
 def test_best_query_tie_break_is_smallest_edge():
@@ -383,6 +396,19 @@ def test_atlas_matches_split_level_oracle():
     assert len(graphs) == 152
     for g in graphs:
         assert solve_graph(g).value == reference_value(g), g.to_text()
+
+
+def test_atlas_states_lie_between_the_solver_bounds():
+    # lb is the weighted value of the state's weights, ub the cost of merging
+    # along the edges while skipping zero components that connect nothing
+    for g in atlas_graphs(6):
+        solver = GraphSolver(g)
+        for state, value in reference_search(g)[1].values():
+            view = GameView.from_state(state)
+            nbrs, cnt = solver._carried(view)
+            lb = solver.bounds[cnt >> solver.shift]
+            ub = solver._upper(view.weights, view.masks, nbrs)
+            assert lb <= value <= ub, (g.to_text(), state)
 
 
 def test_atlas_values_survive_relabelling():
