@@ -26,7 +26,7 @@ def main(argv=None) -> int:
     for n in range(3, max_n + 1, 2):
         t0 = time.perf_counter()
         g = path_graph(n)
-        res = solve_graph(g, canonical="path")
+        res = solve_graph(g)
         nd = m_nd(g) if n <= MAX_MND_N else "-"
         saving = n - nd if isinstance(nd, int) else "-"
         seconds = time.perf_counter() - t0

@@ -5,10 +5,10 @@ whatever the search finds.
   * reverse pair-merge: a non-hard (a, a, rest) whose merge (2a, rest) is
     hard would refute the reverse of the forward hardness propagation;
   * tree floor: search small odd trees for m(T) < n - 3;
-  * sparse optima: exact values of the hub construction vs its edge count,
-    and an exhaustive walk of its querier's answer tree for n = 4..N, which
-    proves m(G_n) <= n - b(n) wherever it passes; each row gives the walk's
-    seconds and the process's peak resident memory so far;
+  * sparse optima: an exhaustive walk of the hub construction's querier's
+    answer tree for n = 4..N, which proves m(G_n) <= n - b(n) wherever it
+    passes; each row gives the walk's seconds and the process's peak
+    resident memory so far;
   * verification complexity: the histogram of m_nd(T) over odd free trees,
     by the tree DP's minimum certificates.
 
@@ -57,13 +57,6 @@ def main(argv=None) -> int:
             if m < n - 3:
                 print(f"  n={n}: m(T) = {m} < n-3 for {tree.sorted_edges}")
         print(f"  n={n}: worst gap so far n - m = {worst[0]}")
-
-    print("\nhub construction sizes (value = n - b(n) throughout):")
-    for n in range(4, 13):
-        built = build_minedge_graph(n)
-        m = solve_graph(built.graph).value
-        print(f"  n={n}: edges {len(built.graph.edges)} <= {n * (1 + popcount(n))},"
-              f" m = {m} = n - b(n): {m == n - popcount(n)}")
 
     print(f"\nhub construction answer trees (n <= {args.max_verify_n}):")
     for n in range(4, args.max_verify_n + 1):

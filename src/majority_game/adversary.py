@@ -446,8 +446,8 @@ def random_querier(seed: int = 0):
     rng = random.Random(seed)
 
     def pick(state: QueryState):
-        comp_of = GameView.from_state(state).vertex_comp
-        options = [e for e in state.graph.sorted_edges if comp_of[e[0]] != comp_of[e[1]]]
+        owner = state.owner
+        options = [e for e in state.graph.sorted_edges if owner[e[0]] != owner[e[1]]]
         return rng.choice(options)
 
     return pick
@@ -515,20 +515,6 @@ def covering_playback(graph: Graph, adversary, querier) -> PlaybackReport:
         if switch_at is None and not adversary.discipline_active(new_view):
             switch_at = new_view.total
     return PlaybackReport(len(game.moves), violations, switch_at, game.transcript())
-
-
-def treelemma_random_order_check(graph: Graph, adversary, seed: int = 0, plays: int = 3) -> list[str]:
-    """Full random-order plays against a weight-discipline adversary,
-    checking the lemma conditions after every answer."""
-    violations: list[str] = []
-    for t in range(plays):
-        querier = random_querier(seed + t)
-        game = Game(graph, adversary)
-        while game.outcome() is None:
-            game.ask(*querier(game.state))
-            problems = check_treelemma_conditions(graph, game.view)
-            violations += [f"play {t} move {len(game.moves)}: {p}" for p in problems]
-    return violations
 
 
 def verify_treelemma_all_orders(graph: Graph) -> bool:

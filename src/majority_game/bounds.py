@@ -112,10 +112,7 @@ def dectree_bound(weights) -> Certificate:
             candidates.append(
                 Certificate(max(0, k - 1 - mu_pi), CertificateSource.DECTREE_PI, {"i": i, "p_i": pi, "mu": mu_pi})
             )
-    best = max(candidates, key=lambda c: c.bound, default=None)
-    if best is None or best.bound <= 0:
-        return best if best is not None else Certificate(0, CertificateSource.TRIVIAL, {})
-    return best
+    return max(candidates, key=lambda c: c.bound, default=Certificate(0, CertificateSource.TRIVIAL, {}))
 
 
 def _powers_of_two_up_to(limit: int):

@@ -2,8 +2,8 @@
 
 Graphs are read from files in the text format "n m" followed by m lines
 "u v" (0-indexed); "-" reads from stdin.  Colorings are strings over
-{R, B}.  Every subcommand takes --json for machine-readable output and
-seeds default to 0 and are printed.
+{R, B}.  Every subcommand that reports a result takes --json for
+machine-readable output; seeds default to 0 and are printed.
 """
 
 from __future__ import annotations
@@ -180,63 +180,37 @@ def _cmd_forced(args) -> int:
 
 def _cmd_construct(args) -> int:
     built = constructions.build_minedge_graph(args.n)
-    if args.emit == "graph":
-        print(built.graph.to_text(), end="")
-        return 0
-    if args.emit == "strategy":
-        transcript = play(built.graph, constructions.minedge_querier(args.n),
-                          adv.ExactWeightedAdversary())
-        print(transcript.to_text(), end="")
-        print(f"# {len(transcript)} queries vs exact-minimax answers; "
-              f"budget n-b(n) = {args.n - popcount(args.n)}")
-        return 0
-    budget = args.budget if args.budget is not None else args.n - popcount(args.n)
-    report = constructions.verify_querier(built.graph, constructions.minedge_querier(args.n), budget)
-    _emit(report.to_json(), args.json,
-          f"verify minedge({args.n}) within {budget}: "
-          f"{'pass' if report.passed else 'FAIL'} "
-          f"(max {report.max_queries}, {report.leaves_checked} leaves)")
-    return 0 if report.passed else 1
+    transcript = play(built.graph, constructions.minedge_querier(args.n), adv.ExactWeightedAdversary())
+    print(transcript.to_text(), end="")
+    print(f"# {len(transcript)} queries vs exact-minimax answers; "
+          f"budget n-b(n) = {args.n - popcount(args.n)}")
+    return 0
 
 
 def _cmd_verify(args) -> int:
     if args.strategy == "minedge":
-        return _cmd_construct(argparse.Namespace(n=args.n, emit="verify",
-                                                 budget=args.budget, json=args.json))
-    graph = _load_graph(args.graph)
-    budget = args.budget if args.budget is not None else graph.n - 1
-    report = constructions.verify_querier(graph, adv.spanning_querier(graph), budget)
+        graph = constructions.build_minedge_graph(args.n).graph
+        querier, default_budget = constructions.minedge_querier(args.n), args.n - popcount(args.n)
+    else:
+        graph = _load_graph(args.graph)
+        querier, default_budget = adv.spanning_querier(graph), graph.n - 1
+    budget = args.budget if args.budget is not None else default_budget
+    report = constructions.verify_querier(graph, querier, budget)
     _emit(report.to_json(), args.json,
-          f"verify spanning within {budget}: {'pass' if report.passed else 'FAIL'}")
+          f"verify {args.strategy} within {budget}: {'pass' if report.passed else 'FAIL'} "
+          f"(max {report.max_queries}, {report.leaves_checked} leaves)")
     return 0 if report.passed else 1
 
 
 def _cmd_nondet(args) -> int:
+    graph = _load_graph(args.graph)
     if args.mode == "cert":
-        graph = _load_graph(args.graph)
         report = nondet.min_cert(graph, args.coloring)
         _emit(report.to_json(), args.json,
               f"certificate size {report.size}: queries {sorted(report.query_set)}; {report.outcome}")
         return 0
-    if args.mode == "mnd":
-        graph = _load_graph(args.graph)
-        value = nondet.m_nd(graph)
-        _emit({"n": graph.n, "m_nd": value}, args.json, f"m_nd = {value}")
-        return 0
-    lo, sep, hi = args.odd_n.partition("..")
-    if not (sep and lo.isdecimal() and hi.isdecimal()):
-        raise InputError(f"--odd-n {args.odd_n!r} is not a range lo..hi")
-    if int(hi) > nondet.MAX_MND_N:  # checked here, so that no row is computed in vain
-        raise InputError(f"--odd-n {args.odd_n!r} goes past n = {nondet.MAX_MND_N}")
-    rows = []
-    for n in range(int(lo), int(hi) + 1):
-        if n % 2 == 0:
-            continue
-        value = nondet.m_nd(generators.path_graph(n))
-        rows.append((n, value, n - value))
-    print("n\tm_nd\tn-m_nd")
-    for row in rows:
-        print("\t".join(str(x) for x in row))
+    value = nondet.m_nd(graph)
+    _emit({"n": graph.n, "m_nd": value}, args.json, f"m_nd = {value}")
     return 0
 
 
@@ -281,7 +255,7 @@ def _cmd_play(args) -> int:
 
 def _cmd_run_suite(args) -> int:
     start = time.perf_counter()
-    records = suites.run_suite(args.name, seed=args.seed, full=not args.quick)
+    records = suites.run_suite(args.name, seed=args.seed)
     failed = [r for r in records if not r.ok]
     if args.json:
         for r in records:
@@ -342,12 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(fn=_cmd_forced)
 
-    p = sub.add_parser("construct", help="the sparse optimal construction")
+    p = sub.add_parser("construct", help="the hub construction's querier vs exact-minimax answers")
     p.add_argument("what", choices=["minedge"])
     p.add_argument("n", type=int)
-    p.add_argument("--emit", choices=["graph", "strategy", "verify"], default="graph")
-    p.add_argument("--budget", type=int, default=None)
-    add_json(p)
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("verify", help="exhaustively verify a querier within a budget")
@@ -369,10 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("graph")
     add_json(pm)
     pm.set_defaults(fn=_cmd_nondet)
-    pt = nsub.add_parser("path-table")
-    pt.add_argument("--odd-n", default="3..13", help="range lo..hi, odd n only")
-    add_json(pt)
-    pt.set_defaults(fn=_cmd_nondet)
 
     p = sub.add_parser("generate", help="instance generators")
     p.add_argument("kind", choices=["path", "star", "complete", "free-trees",
@@ -390,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-suite", help="acceptance check suites")
     p.add_argument("name", choices=sorted(suites.SUITES))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--quick", action="store_true", help="skip the slowest instances")
     add_json(p)
     p.set_defaults(fn=_cmd_run_suite)
 

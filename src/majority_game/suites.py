@@ -75,7 +75,7 @@ def criterion_1() -> list[CheckRecord]:
 # -- criterion 2: paths -----------------------------------------------------
 
 
-def criterion_2(full: bool = True) -> list[CheckRecord]:
+def criterion_2() -> list[CheckRecord]:
     recs = []
     bad = []
     for n in range(3, 14, 2):
@@ -105,17 +105,16 @@ def criterion_2(full: bool = True) -> list[CheckRecord]:
             "majority-game generate path 14 | majority-game solve-graph -",
         )
     )
-    if full:
-        got = solve_graph(generators.path_graph(15), canonical="path").value
-        recs.append(
-            _rec(
-                "paper-values",
-                "C2 P15",
-                got == 12,
-                f"m(P_15) = {got}, expected 12",
-                "majority-game generate path 15 | majority-game solve-graph - --canonical path",
-            )
+    got = solve_graph(generators.path_graph(15)).value
+    recs.append(
+        _rec(
+            "paper-values",
+            "C2 P15",
+            got == 12,
+            f"m(P_15) = {got}, expected 12",
+            "majority-game generate path 15 | majority-game solve-graph -",
         )
+    )
     return recs
 
 
@@ -297,25 +296,17 @@ def criterion_6() -> list[CheckRecord]:
 
 def criterion_7(seed: int = 0) -> list[CheckRecord]:
     recs = []
-    bad = []
-    for n in range(2, 9):
-        for g in generators.free_trees(n):
-            if not adv.verify_treelemma_all_orders(g):
-                bad.append((n, g.sorted_edges))
     rng = random.Random(seed)
-    for n in range(9, 15):
-        for trial in range(4):
-            g = generators.random_tree(n, seed=rng.randrange(10 ** 6))
-            strat = adv.TreelemmaAdversary(g)
-            report = adv.treelemma_random_order_check(g, strat, seed=rng.randrange(10 ** 6))
-            if report:
-                bad.append((n, trial, report))
+    trees = [g for n in range(2, 9) for g in generators.free_trees(n)]
+    trees += [generators.random_tree(n, seed=rng.randrange(10 ** 6)) for n in range(9, 15) for _ in range(4)]
+    bad = [(g.n, g.sorted_edges) for g in trees if not adv.verify_treelemma_all_orders(g)]
     recs.append(
         _rec(
             "adversaries",
             "C7 weight-discipline conditions",
             not bad,
-            f"lemma conditions hold on all plays; failures: {bad[:2]}",
+            f"lemma conditions hold in every state of every query order on all free trees"
+            f" n <= 8 and 24 random trees n = 9..14; failures: {bad[:2]}",
             f"majority-game run-suite adversaries --seed {seed}",
         )
     )
@@ -394,7 +385,7 @@ def criterion_8() -> list[CheckRecord]:
             "C8 edge budget",
             not bad_budget,
             f"|E| <= n(1+b(n)) for n=4..16; failures: {bad_budget}",
-            "majority-game construct minedge 12 --emit graph",
+            "majority-game generate minedge 12",
         )
     )
     recs.append(
@@ -403,7 +394,7 @@ def criterion_8() -> list[CheckRecord]:
             "C8 querier within n-b(n)",
             not bad_verify,
             f"exhaustive answer-tree verification for n=4..16; failures: {bad_verify[:2]}",
-            "majority-game construct minedge 12 --emit verify",
+            "majority-game verify minedge --n 12",
         )
     )
     bad = []
@@ -458,7 +449,7 @@ def criterion_9(seed: int = 0) -> list[CheckRecord]:
             not bad,
             f"path_cert(c) == cert(P_n, c) on all colorings of P_n, n <= 11;"
             f" mismatches (coloring, sizes): {bad[:3]}",
-            "majority-game nondet cert - RRBRR  (with a path graph on stdin)",
+            "majority-game generate path 5 | majority-game nondet cert - RRBRR",
         )
     )
     hard = nondet.nondet_hard_coloring(4)
@@ -469,7 +460,7 @@ def criterion_9(seed: int = 0) -> list[CheckRecord]:
             "C9 hard coloring lower bound",
             size >= 8,
             f"cert(P_17, batch coloring) = {size} >= 8",
-            "majority-game nondet path-table --odd-n 17..17",
+            f"majority-game generate path 17 | majority-game nondet cert - {hard}",
         )
     )
     rng = random.Random(seed)
@@ -546,19 +537,15 @@ def criterion_10(seed: int = 0) -> list[CheckRecord]:
 
 
 SUITES = {
-    "paper-values": lambda seed, full: (
-        criterion_1() + criterion_2(full=full) + criterion_3() + criterion_4()
-    ),
-    "properties": lambda seed, full: (
-        criterion_5(seed=seed) + criterion_6() + criterion_10(seed=seed)
-    ),
-    "adversaries": lambda seed, full: criterion_7(seed=seed),
-    "constructions": lambda seed, full: criterion_8(),
-    "nondet": lambda seed, full: criterion_9(seed=seed),
+    "paper-values": lambda seed: criterion_1() + criterion_2() + criterion_3() + criterion_4(),
+    "properties": lambda seed: criterion_5(seed=seed) + criterion_6() + criterion_10(seed=seed),
+    "adversaries": lambda seed: criterion_7(seed=seed),
+    "constructions": lambda seed: criterion_8(),
+    "nondet": lambda seed: criterion_9(seed=seed),
 }
 
 
-def run_suite(name: str, seed: int = 0, full: bool = True) -> list[CheckRecord]:
+def run_suite(name: str, seed: int = 0) -> list[CheckRecord]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    return SUITES[name](seed, full)
+    return SUITES[name](seed)

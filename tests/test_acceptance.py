@@ -4,14 +4,33 @@ Each test prints one PASS/FAIL line per criterion check; run with -s or
 -rA to see them.  All asserted values are exact integers.
 """
 
-from majority_game import suites
+import functools
+import io
+import shlex
+
+from majority_game import cli, suites
+
+
+def _commands(repro):
+    """The argument lists of a repro's piped `majority-game` commands."""
+    for command in repro.split(" | "):
+        program, *argv = shlex.split(command)
+        assert program == "majority-game", repro
+        yield argv
 
 
 def _run(records):
     for r in records:
         print(f"ACCEPTANCE {r.name}: {'PASS' if r.ok else 'FAIL'} - {r.detail}")
+        for argv in _commands(r.repro):
+            cli.build_parser().parse_args(argv)  # a repro that does not parse exits 2 here
     failing = [r for r in records if not r.ok]
     assert not failing, "; ".join(f"{r.name}: {r.detail}" for r in failing)
+
+
+@functools.cache
+def _criterion_9():
+    return suites.criterion_9(seed=0)
 
 
 def test_criterion_01_complete_graphs_and_all_ones():
@@ -19,7 +38,7 @@ def test_criterion_01_complete_graphs_and_all_ones():
 
 
 def test_criterion_02_paths_including_p15():
-    _run(suites.criterion_2(full=True))
+    _run(suites.criterion_2())
 
 
 def test_criterion_03_even_trees():
@@ -47,7 +66,17 @@ def test_criterion_08_construction():
 
 
 def test_criterion_09_nondeterministic_complexity():
-    _run(suites.criterion_9(seed=0))
+    _run(_criterion_9())
+
+
+def test_criterion_09_hard_coloring_repro_runs(capsys, monkeypatch):
+    [record] = [r for r in _criterion_9() if r.name == "C9 hard coloring lower bound"]
+    out = ""
+    for argv in _commands(record.repro):
+        monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+    assert out.startswith("certificate size 10: ")
 
 
 def test_criterion_10_monotonicity():

@@ -110,8 +110,7 @@ def test_treelemma_random_orders_midsize():
     rng = random.Random(5)
     for n in (11, 13, 14):
         g = random_tree(n, seed=rng.randrange(10 ** 6))
-        strat = adv.TreelemmaAdversary(g)
-        assert adv.treelemma_random_order_check(g, strat, seed=7, plays=2) == []
+        assert adv.verify_treelemma_all_orders(g)
 
 
 def test_treelemma_forces_tree_bound():

@@ -7,6 +7,7 @@ import pytest
 
 from majority_game import cli, weighted
 from majority_game.cli import main
+from majority_game.constructions import build_minedge_graph
 from majority_game.core import Graph, StrategyError
 from majority_game.generators import path_graph, random_tree, star_graph
 
@@ -137,17 +138,6 @@ def test_bounds_output(capsys):
     assert payload["balanced_colorings"] == 8
 
 
-def test_generate_and_nondet_table(capsys):
-    code, out = run_cli(capsys, ["generate", "path", "5"])
-    assert code == 0
-    assert out.splitlines()[0] == "5 4"
-    code, out = run_cli(capsys, ["nondet", "path-table", "--odd-n", "3..7"])
-    assert code == 0
-    rows = [line.split("\t") for line in out.splitlines()[1:]]
-    assert [r[0] for r in rows] == ["3", "5", "7"]
-    assert [r[1] for r in rows] == ["1", "2", "4"]
-
-
 def test_nondet_cert_on_path(capsys, tmp_path):
     f = tmp_path / "p5.txt"
     f.write_text(path_graph(5).to_text())
@@ -205,17 +195,6 @@ def test_nondet_mnd_rejects_too_many_vertices(capsys, tmp_path):
     assert "n <= 16" in json.loads(out)["error"]
 
 
-def test_nondet_path_table_rejects_malformed_range(capsys):
-    for bad in ("3..x", "5"):
-        code, out = run_cli(capsys, ["nondet", "path-table", "--odd-n", bad])
-        assert code == 2
-        assert out == f"error: --odd-n {bad!r} is not a range lo..hi\n"
-    # rejected before P_11 and P_13 are enumerated, not after
-    code, out = run_cli(capsys, ["nondet", "path-table", "--odd-n", "11..17"])
-    assert code == 2
-    assert out == "error: --odd-n '11..17' goes past n = 16\n"
-
-
 @pytest.mark.parametrize("graph, args, message", [
     (star_graph(5), ["oddpath"], "expects the path 0-1-...-(n-1)"),
     (path_graph(6), ["lefogo2"], "even trees are handled by the plain weight discipline"),
@@ -234,10 +213,19 @@ def test_adversary_rejects_bad_input(capsys, tmp_path, graph, args, message):
 
 
 def test_construct_verify(capsys):
-    code, out = run_cli(capsys, ["construct", "minedge", "8", "--emit", "verify", "--json"])
+    code, out = run_cli(capsys, ["verify", "minedge", "--n", "8", "--json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["pass"] is True and payload["max_queries"] == 7
+
+
+def test_construct_minedge_prints_the_strategy(capsys):
+    code, out = run_cli(capsys, ["construct", "minedge", "8"])
+    assert code == 0
+    *moves, outcome, trailer = out.splitlines()
+    assert 0 < len(moves) <= 7 and all(line.startswith("QUERY ") for line in moves)
+    assert outcome.startswith("OUTCOME ")
+    assert trailer == f"# {len(moves)} queries vs exact-minimax answers; budget n-b(n) = 7"
 
 
 def test_generate_minedge_rejects_n_below_two(capsys):
@@ -268,10 +256,9 @@ def test_verify_minedge_rejects_n_below_two(capsys):
 
 
 def test_construct_graph_emission(capsys):
-    code, out = run_cli(capsys, ["construct", "minedge", "6"])
+    code, out = run_cli(capsys, ["generate", "minedge", "6"])
     assert code == 0
-    header = out.splitlines()[0].split()
-    assert header[0] == "6"
+    assert out == build_minedge_graph(6).graph.to_text()
 
 
 def test_adversary_playback(capsys, path6_file):
