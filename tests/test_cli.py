@@ -138,6 +138,22 @@ def test_bounds_output(capsys):
     assert payload["balanced_colorings"] == 8
 
 
+def test_generate_and_nondet_table(capsys, tmp_path):
+    code, out = run_cli(capsys, ["generate", "path", "5"])
+    assert code == 0
+    assert out.splitlines()[0] == "5 4"
+    mnd = []
+    for n in (3, 5, 7):
+        code, out = run_cli(capsys, ["generate", "path", str(n)])
+        assert code == 0
+        f = tmp_path / f"p{n}.txt"
+        f.write_text(out)
+        code, out = run_cli(capsys, ["nondet", "mnd", str(f)])
+        assert code == 0
+        mnd.append(out)
+    assert mnd == ["m_nd = 1\n", "m_nd = 2\n", "m_nd = 4\n"]
+
+
 def test_nondet_cert_on_path(capsys, tmp_path):
     f = tmp_path / "p5.txt"
     f.write_text(path_graph(5).to_text())
