@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .weighted import (
     WeightVector,
+    fixed_ball_parities,
     hard_level,
     normalize,
     signed_sum_counts,
@@ -154,14 +155,13 @@ def _suly1(w: WeightVector, certs: list[Certificate]) -> None:
 
 def _equal_heads(w: WeightVector):
     """Each head of p2 = 2^n equal balls of weight a that leaves at least two
-    other balls, as (a, p2, n, rest)."""
+    other balls, as (a, p2, n, rest); w is descending, so the head is one
+    slice."""
     for a in sorted(set(w), reverse=True):
+        start = w.index(a)
         for p2 in _powers_of_two_up_to(w.count(a)):
             if len(w) > p2 + 1:
-                rest = list(w)
-                for _ in range(p2):
-                    rest.remove(a)
-                yield a, p2, p2.bit_length() - 1, rest
+                yield a, p2, p2.bit_length() - 1, w[:start] + w[start + p2:]
 
 
 def _suly1forma_i(w: WeightVector, certs: list[Certificate]) -> None:
@@ -177,17 +177,15 @@ def _suly1forma_i(w: WeightVector, certs: list[Certificate]) -> None:
 
 
 def _suly1forma_ii(w: WeightVector, certs: list[Certificate]) -> None:
-    """Equal-head lemma, part (ii): with one ball held fixed, an odd number
-    of signed sums of the rest lands in the half-open window
-    (-a*2^n, a*2^n]; this is the exact condition under which the proof's
-    majority count is odd.  Only the parity is read: `signed_sum_parity`
-    over the shifted window (-a*2^n - t, a*2^n - t] for the fixed ball t,
-    from the product of (1 + X^w) over GF(2)."""
+    """Equal-head lemma, part (ii): with one ball t held fixed, an odd
+    number of signed sums of the rest lands in the half-open window
+    (-a*2^n - t, a*2^n - t]; this is the exact condition under which the
+    proof's majority count is odd.  Only the parity is read, by
+    `fixed_ball_parities`, which builds the GF(2) product of (1 + X^w)
+    over the rest once per head and divides it by (1 + X^t) for each t."""
     for a, p2, n, rest in _equal_heads(w):
-        for t in sorted(set(rest), reverse=True):
-            others = list(rest)
-            others.remove(t)
-            if signed_sum_parity(others, -a * p2 - t, a * p2 - t):
+        for t, odd in fixed_ball_parities(rest, -a * p2, a * p2):
+            if odd:
                 certs.append(
                     Certificate(len(w) - 2, CertificateSource.SULY1FORMA_II, {"n": n, "head": a, "fixed_ball": t})
                 )

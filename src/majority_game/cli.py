@@ -189,10 +189,15 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.strategy == "minedge":
-        graph = constructions.build_minedge_graph(args.n).graph
-        querier, default_budget = constructions.minedge_querier(args.n), args.n - popcount(args.n)
+        if args.graph is not None:
+            raise InputError("verify minedge builds its own graph: give --n, not a graph file")
+        n = 8 if args.n is None else args.n
+        graph = constructions.build_minedge_graph(n).graph
+        querier, default_budget = constructions.minedge_querier(n), n - popcount(n)
     else:
-        graph = _load_graph(args.graph)
+        if args.n is not None:
+            raise InputError("verify spanning reads the graph file: --n is for minedge")
+        graph = _load_graph("-" if args.graph is None else args.graph)
         querier, default_budget = adv.spanning_querier(graph), graph.n - 1
     budget = args.budget if args.budget is not None else default_budget
     report = constructions.verify_querier(graph, querier, budget)
@@ -323,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustively verify a querier within a budget")
     p.add_argument("strategy", choices=["minedge", "spanning"])
-    p.add_argument("graph", nargs="?", default="-")
-    p.add_argument("--n", type=int, default=8, help="instance size for minedge")
+    p.add_argument("graph", nargs="?", default=None, help="graph file for spanning (default: stdin)")
+    p.add_argument("--n", type=int, default=None, help="instance size for minedge (default: 8)")
     p.add_argument("--budget", type=int, default=None)
     add_json(p)
     p.set_defaults(fn=_cmd_verify)

@@ -11,17 +11,20 @@ child is not searched once its DIFF child shows that the move cannot win,
 and the memo holds only exact values.  `signed_sum_counts` counts signed
 sums exactly: relevance here and the counting bounds in `bounds` read it.
 The equal-head checks in `bounds` read only the parity of a count of
-signed sums in a window, and take it from `signed_sum_parity`, which works
-over GF(2).  Every signed sum has the parity of the total, so the hardness
-search in `bounds` checks the equal-head lemma's part (i), which needs a
-signed sum a*2^n of the balls outside the head, only on an even total.
+signed sums in a window, and take it from `signed_sum_parity` and, with one
+ball held fixed, `fixed_ball_parities`, which work over GF(2).  Every
+signed sum has the parity of the total, so the hardness search in `bounds`
+checks the equal-head lemma's part (i), which needs a signed sum a*2^n of
+the balls outside the head, only on an even total.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import neg
 
 from .core import InputError
 
@@ -71,35 +74,16 @@ def weighted_terminal(w) -> WeightedOutcome | None:
     return None
 
 
-def successors(w: WeightVector, a: int, b: int) -> tuple[WeightVector, WeightVector]:
-    """The two merge results of querying one ball of weight a against one of
-    weight b: weights add, or cancel to the absolute difference."""
+def _merged(w: WeightVector, i: int, j: int, x: int) -> WeightVector:
+    """The descending vector w with its balls i < j replaced by one ball of
+    weight x, or by none when x is 0: the two balls are cut out and x is
+    inserted at its sorted place."""
     rest = list(w)
-    rest.remove(a)
-    rest.remove(b)
-    plus = tuple(sorted(rest + [a + b], reverse=True))
-    d = abs(a - b)
-    minus = tuple(sorted(rest + ([d] if d else []), reverse=True))
-    return plus, minus
-
-
-def _value_pairs(w: WeightVector):
-    """Unordered pairs of weight values present in w, each once.
-
-    Distinct indices with equal weights give identical successors, so moves
-    are generated per value pair.  Zero-weight balls are never queried:
-    both answers give the same successor.
-    """
-    values = sorted(set(w), reverse=True)
-    for i, a in enumerate(values):
-        if a == 0:
-            continue
-        for b in values[i:]:
-            if b == 0:
-                continue
-            if a == b and w.count(a) < 2:
-                continue
-            yield a, b
+    del rest[j]
+    del rest[i]
+    if x:
+        rest.insert(bisect_left(rest, -x, key=neg), x)
+    return tuple(rest)
 
 
 _memo: dict[WeightVector, int] = {}  # grows across a process until clear()
@@ -129,27 +113,46 @@ def _solve(w: WeightVector) -> int:
     as two weights with an odd sum differ.  Only a move below that level is
     of use, and a search that finds none proves the level exact.
 
-    Each move solves its DIFF child first: when that child alone already
-    makes the move no better than `best`, the SAME child is skipped.  Every
-    child that is searched is solved in full, so the memo holds only exact
-    values.  Successors of a zero-free vector are zero-free.
+    Moves are taken per pair of weight values, as distinct balls of equal
+    weight give identical children: a descending, then b descending from a
+    itself, with a == b only when two balls weigh a.  The move removes the
+    first ball of weight a and the last of weight b.  Each move solves its
+    DIFF child first: when that child alone already makes the move no
+    better than `best`, the SAME child is neither built nor searched.
+    Every child that is searched is solved in full, so the memo holds only
+    exact values.  Children of a zero-free vector are zero-free.
     """
-    cached = _memo.get(w)
+    memo = _memo  # a local name: the loop reads it twice per move
+    cached = memo.get(w)
     if cached is not None:
         return cached
     if not w or 2 * w[0] > sum(w):  # the terminal test of weighted_terminal
-        _memo[w] = 0
+        memo[w] = 0
         return 0
     best = hard_level(w)
-    for a, b in _value_pairs(w):
-        plus, minus = successors(w, a, b)
-        m = _solve(minus)
-        if 1 + m >= best:
-            continue
-        p = _solve(plus)
-        if 1 + p < best:
-            best = 1 + max(m, p)
-    _memo[w] = best
+    k = len(w)
+    ends = [j for j in range(k - 1) if w[j] != w[j + 1]] + [k - 1]  # last ball of each value
+    i = 0
+    for s, end in enumerate(ends):
+        a = w[i]
+        for j in ends[s:]:
+            if j == i:  # a single ball of weight a
+                continue
+            b = w[j]
+            child = _merged(w, i, j, a - b)
+            m = memo.get(child)
+            if m is None:
+                m = _solve(child)
+            if 1 + m >= best:
+                continue
+            child = _merged(w, i, j, a + b)
+            p = memo.get(child)
+            if p is None:
+                p = _solve(child)
+            if 1 + p < best:
+                best = 1 + max(m, p)
+        i = end + 1
+    memo[w] = best
     return best
 
 
@@ -165,23 +168,24 @@ def optimal_query(weights) -> tuple[int, int] | None:
     if weighted_terminal(w) is not None:
         return None
     target = solve_weighted(w)
-    for i in range(len(w)):
-        for j in range(i + 1, len(w)):
-            if w[i] == 0 or w[j] == 0:
-                continue
-            plus, minus = successors(w, w[i], w[j])
-            if 1 + max(_solve(strip_zeros(plus)), _solve(strip_zeros(minus))) == target:
+    z = strip_zeros(w)  # the zero balls sort last, so indices into z are indices into w
+    for i in range(len(z)):
+        for j in range(i + 1, len(z)):
+            a, b = z[i], z[j]
+            if 1 + max(_solve(_merged(z, i, j, a + b)), _solve(_merged(z, i, j, a - b))) == target:
                 return (i, j)
     return None
 
 
 def adversarial_merge_weight(w, a: int, b: int) -> int:
     """Merged weight an exact-minimax adversary chooses when weights a and b
-    are queried within multiset w: the successor of larger game value wins,
+    are queried within multiset w: the child of larger game value wins,
     ties keep the sum (no weight is given away)."""
     w = normalize(w)
-    plus, minus = successors(w, a, b)
-    if _solve(strip_zeros(minus)) > _solve(strip_zeros(plus)):
+    i = w.index(a)
+    i, j = sorted((i, w.index(b, i + 1) if b == a else w.index(b)))
+    plus, minus = (strip_zeros(_merged(w, i, j, x)) for x in (a + b, abs(a - b)))
+    if _solve(minus) > _solve(plus):
         return abs(a - b)
     return a + b
 
@@ -219,42 +223,109 @@ def signed_sum_counts(weights) -> dict[int, int]:
     return counts
 
 
-def signed_sum_parity(weights, lo: int, hi: int) -> int:
-    """Parity of the number of sign vectors whose signed sum lies in the
-    half-open window (lo, hi].
-
-    The parity is read off the product of (1 + X^w) over GF(2), where
-    (1 + X^x)^c is the product of (1 + X^(x*2^i)) over the set bits i of c:
-    one shift-XOR factor per set bit of each value's multiplicity, and a
-    zero weight makes every parity even.  While the total is below 64 <<
-    factors the product is one integer and the window is one masked
-    `bit_count`; otherwise it is the set of its exponents, updated by
-    symmetric difference, and an exponent past the window is dropped, as
-    no factor lowers it.  Cost grows with the number of factors, never with
-    the size of the weights.
-    """
-    w = tuple(weights)
-    total = sum(w)
-    # signed sum 2j - total over plus-weight j: lo < 2j - total <= hi
-    jlo = max((lo + total) // 2 + 1, 0)
-    jhi = min((hi + total) // 2, total)
-    if jlo > jhi:
-        return 0
-    shifts = []  # x * 2^i for each set bit 2^i of the multiplicity c of x
+def _gf2_factors(w: WeightVector) -> list[int]:
+    """The shifts d of the factors (1 + X^d) whose product over GF(2) is the
+    product of (1 + X^x) over w: (1 + X^x)^c is the product of
+    (1 + X^(x*2^i)) over the set bits i of c, so one shift per set bit of
+    each value's multiplicity.  A zero weight gives the factor 1 + 1 = 0."""
+    shifts = []
     for x in set(w):
         c = w.count(x)
         while c:
             shifts.append(x * (c & -c))
             c &= c - 1
-    if total < 64 << len(shifts):
-        poly = 1
-        for d in shifts:
-            poly ^= poly << d
-        return ((poly >> jlo) & ((1 << (jhi - jlo + 1)) - 1)).bit_count() & 1
+    return shifts
+
+
+def _gf2_product(shifts: list[int], total: int) -> int | None:
+    """The product of the factors (1 + X^d) over GF(2) as one integer, bit
+    j the parity of the number of sign vectors whose plus balls weigh j; or
+    None when the total is at least 64 << factors, where the integer would
+    be long next to the at most 2^factors exponents it holds."""
+    if total >= 64 << len(shifts):
+        return None
+    poly = 1
+    for d in shifts:
+        poly ^= poly << d
+    return poly
+
+
+def _plus_window(total: int, lo: int, hi: int) -> tuple[int, int]:
+    """The plus-ball weights j whose signed sum 2j - total lies in (lo, hi],
+    as the ends (jlo, jhi) of a closed range."""
+    return max((lo + total) // 2 + 1, 0), min((hi + total) // 2, total)
+
+
+def _window_parity(poly: int, jlo: int, jhi: int) -> int:
+    """Parity of the set bits jlo..jhi of poly; 0 on an empty range."""
+    if jlo > jhi:
+        return 0
+    return ((poly >> jlo) & ((1 << (jhi - jlo + 1)) - 1)).bit_count() & 1
+
+
+def _gf2_quotient(poly: int, t: int, top: int) -> int:
+    """poly / (1 + X^t) over GF(2) in the degrees up to top, for a poly
+    that 1 + X^t divides and t > 0.  1 / (1 + X^t) is the product of
+    (1 + X^t)(1 + X^2t)(1 + X^4t)..., and the factors with shift above top
+    leave those degrees alone; bits above top are left over, not zero."""
+    d = t
+    while d <= top:
+        poly ^= poly << d
+        d <<= 1
+    return poly
+
+
+def signed_sum_parity(weights, lo: int, hi: int) -> int:
+    """Parity of the number of sign vectors whose signed sum lies in the
+    half-open window (lo, hi].
+
+    The parity is read off the product of (1 + X^w) over GF(2), built from
+    one shift-XOR factor per set bit of each value's multiplicity (see
+    `_gf2_factors`); a zero weight makes every parity even.  While the
+    total is below 64 << factors the product is one integer and the window
+    is one masked `bit_count`; otherwise it is the set of its exponents,
+    updated by symmetric difference, and an exponent past the window is
+    dropped, as no factor lowers it.  Cost grows with the number of
+    factors, never with the size of the weights.
+    """
+    w = tuple(weights)
+    total = sum(w)
+    jlo, jhi = _plus_window(total, lo, hi)
+    if jlo > jhi:
+        return 0
+    shifts = _gf2_factors(w)
+    poly = _gf2_product(shifts, total)
+    if poly is not None:
+        return _window_parity(poly, jlo, jhi)
     exps = {0}
     for d in shifts:
         exps ^= {e + d for e in exps if e + d <= jhi}
     return len([e for e in exps if e >= jlo]) & 1
+
+
+def fixed_ball_parities(weights, lo: int, hi: int):
+    """For each distinct weight t, in descending order, the pair (t, parity)
+    where parity is `signed_sum_parity` of the other balls over the window
+    (lo - t, hi - t]: one ball of weight t is held with sign plus, and the
+    whole signed sum must land in (lo, hi].
+
+    The product of (1 + X^w) over all the balls is built once, and the
+    product over the others is read from it divided by (1 + X^t), which is
+    exact over GF(2) and costs a few shift-XORs (`_gf2_quotient`).  When
+    the total does not fit one integer (see `_gf2_product`), or t is 0,
+    each t takes `signed_sum_parity` of the others instead.
+    """
+    w = tuple(weights)
+    total = sum(w)
+    poly = _gf2_product(_gf2_factors(w), total)
+    for t in sorted(set(w), reverse=True):
+        if poly is None or not t:
+            others = list(w)
+            others.remove(t)
+            yield t, signed_sum_parity(others, lo - t, hi - t)
+            continue
+        top = total - t
+        yield t, _window_parity(_gf2_quotient(poly, t, top), *_plus_window(top, lo - t, hi - t))
 
 
 def relevant(weights, i: int) -> bool:

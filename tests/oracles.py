@@ -7,6 +7,9 @@ and the atlas inputs that several differential tests share.
   exactly, then take the smallest edge across a pair of least value;
 * the hardness base check that runs both parts of the equal-head lemma on
   every vector, whatever the parity of its total;
+* the weighted solver that builds each move's children by copying, removing
+  and sorting, with its own memo, and the optimal query and adversarial
+  merge read from it;
 * the split state as sorted side tuples, with its per-vertex component
   scan, its tuple-rebuilding merge, its outcome checks and the per-vertex
   packing of its components.
@@ -27,7 +30,7 @@ from majority_game.bounds import (
 )
 from majority_game.core import BLUE, RED, Answer, Graph, IllegalQueryError, Outcome, QueryState, normalize_edge
 from majority_game.graphsolver import GameView, _merge_codes, _merge_nbrs, encode_state
-from majority_game.weighted import signed_sum_counts
+from majority_game.weighted import normalize, signed_sum_counts, strip_zeros, weighted_terminal
 
 
 def count_consistent(state: QueryState) -> int:
@@ -145,6 +148,80 @@ def base_hard_certificate_both_parts(w):
     _suly2(w, certs)
     level = hard_level(w)
     return next((c for c in certs if c.bound == level), None)
+
+
+# -- the weighted solver with sorted successors ---------------------------
+
+
+def successors(w, a, b):
+    """The two merge results of querying one ball of weight a against one of
+    weight b: weights add, or cancel to the absolute difference."""
+    rest = list(w)
+    rest.remove(a)
+    rest.remove(b)
+    plus = tuple(sorted(rest + [a + b], reverse=True))
+    d = abs(a - b)
+    minus = tuple(sorted(rest + ([d] if d else []), reverse=True))
+    return plus, minus
+
+
+def value_pairs(w):
+    """Unordered pairs of positive weight values present in w, each once:
+    a descending, then b descending from a itself."""
+    values = sorted(set(w), reverse=True)
+    for i, a in enumerate(values):
+        if a == 0:
+            continue
+        for b in values[i:]:
+            if b == 0:
+                continue
+            if a == b and w.count(a) < 2:
+                continue
+            yield a, b
+
+
+def reference_solve(w, memo):
+    """``weighted._solve`` on a sorted, zero-free vector, with the same
+    move order and pruning, filling ``memo`` in the same order."""
+    cached = memo.get(w)
+    if cached is not None:
+        return cached
+    if not w or 2 * w[0] > sum(w):
+        memo[w] = 0
+        return 0
+    best = hard_level(w)
+    for a, b in value_pairs(w):
+        plus, minus = successors(w, a, b)
+        m = reference_solve(minus, memo)
+        if 1 + m >= best:
+            continue
+        p = reference_solve(plus, memo)
+        if 1 + p < best:
+            best = 1 + max(m, p)
+    memo[w] = best
+    return best
+
+
+def reference_optimal_query(weights, memo):
+    w = normalize(weights)
+    if weighted_terminal(w) is not None:
+        return None
+    target = reference_solve(strip_zeros(w), memo)
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
+            if w[i] == 0 or w[j] == 0:
+                continue
+            plus, minus = successors(w, w[i], w[j])
+            if 1 + max(reference_solve(strip_zeros(plus), memo), reference_solve(strip_zeros(minus), memo)) == target:
+                return (i, j)
+    return None
+
+
+def reference_adversarial_merge_weight(w, a, b, memo):
+    plus, minus = successors(normalize(w), a, b)
+    if reference_solve(strip_zeros(minus), memo) > reference_solve(strip_zeros(plus), memo):
+        return abs(a - b)
+    return a + b
 
 
 # -- the split state as sorted side tuples -------------------------------

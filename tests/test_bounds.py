@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from oracles import base_hard_certificate_both_parts
+from oracles import base_hard_certificate_both_parts, suly1forma_both_parts
 
 from majority_game import bounds
 from majority_game.bounds import (
@@ -23,7 +23,14 @@ from majority_game.bounds import (
     two_adic_valuation,
 )
 from majority_game.suites import c5_vectors
-from majority_game.weighted import solve_weighted, weight_multisets, weighted_terminal
+from majority_game.weighted import (
+    _gf2_factors,
+    _gf2_product,
+    solve_weighted,
+    strip_zeros,
+    weight_multisets,
+    weighted_terminal,
+)
 
 
 @pytest.mark.parametrize("n,expected", [(7, 3), (8, 1), (13, 3), (0, 0), (1, 1)])
@@ -189,3 +196,22 @@ def test_hardness_base_check_matches_both_equal_head_parts(monkeypatch):
     assert len(visited) > 1000
     for w in dict.fromkeys(weight_multisets(14) + visited):
         assert base(w) == base_hard_certificate_both_parts(w), w
+
+
+def test_equal_head_part_ii_matches_the_counting_oracle():
+    # both total parities, the C5 vectors, and large weights whose product
+    # does not fit one integer and takes the exponent-set path
+    large = [(10**5, 10**5 - 1, 3), (10**5, 10**5, 7, 3)]
+    assert _gf2_product(_gf2_factors((10**5 - 1, 3)), 10**5 + 2) is None
+    assert _gf2_product(_gf2_factors((10**5, 7, 3)), 10**5 + 10) is None
+    fired = 0
+    for w in dict.fromkeys(weight_multisets(14) + [strip_zeros(v) for v in c5_vectors()] + large):
+        got, both = [], []
+        bounds._suly1forma_ii(w, got)
+        suly1forma_both_parts(w, both)
+        assert got == [c for c in both if c.source is CertificateSource.SULY1FORMA_II], w
+        fired += bool(got)
+    assert fired > 100
+    got = []
+    bounds._suly1forma_ii(large[0], got)
+    assert got == [Certificate(1, CertificateSource.SULY1FORMA_II, {"n": 0, "head": 10**5, "fixed_ball": 10**5 - 1})]

@@ -40,8 +40,7 @@ def test_solve_weighted_json_reports_memo_states(capsys):
         code, out = run_cli(capsys, ["solve-weighted", "3,3,7,8,9", "--json"])
         assert code == 0
         states.append(json.loads(out)["memo_states"])
-    assert isinstance(states[0], int) and states[0] > 0
-    assert states[0] == states[1]
+    assert states == [73, 73]
 
 
 def test_solve_graph_from_file(capsys, path6_file):
@@ -269,6 +268,28 @@ def test_verify_minedge_rejects_n_below_two(capsys):
     code, out = run_cli(capsys, ["verify", "minedge", "--n", "1", "--json"])
     assert code == 2
     assert json.loads(out) == {"error": "n must be at least 2"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["minedge", "/nonexistent.txt", "--n", "6"], "verify minedge builds its own graph"),
+    (["minedge", "-"], "verify minedge builds its own graph"),
+    (["spanning", "-", "--n", "99"], "verify spanning reads the graph file"),
+])
+def test_verify_rejects_arguments_its_strategy_does_not_read(capsys, argv, message):
+    code, out = run_cli(capsys, ["verify", *argv])
+    assert code == 2
+    assert out.startswith("error: ") and message in out and out.count("\n") == 1
+
+
+def test_verify_plain_forms(capsys, monkeypatch, path6_file):
+    code, out = run_cli(capsys, ["verify", "minedge"])
+    assert (code, out) == (0, "verify minedge within 7: pass (max 7, 30 leaves)\n")
+    assert run_cli(capsys, ["verify", "minedge", "--n", "8"]) == (code, out)
+    code, out = run_cli(capsys, ["verify", "spanning", path6_file, "--json"])
+    assert code == 0 and json.loads(out)["pass"] is True
+    monkeypatch.setattr("sys.stdin", io.StringIO(path_graph(6).to_text()))
+    code, out = run_cli(capsys, ["verify", "spanning", "--budget", "5"])
+    assert code == 0 and out.startswith("verify spanning within 5: pass")
 
 
 def test_construct_graph_emission(capsys):

@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import reference_adversarial_merge_weight, reference_optimal_query, reference_solve
+
 from majority_game import weighted
 from majority_game.bounds import count_balanced, popcount
 from majority_game.generators import path_graph
 from majority_game.graphsolver import solve_graph
+from majority_game.suites import c5_vectors
 from majority_game.weighted import (
     adversarial_merge_weight,
     optimal_query,
@@ -22,6 +25,7 @@ from majority_game.weighted import (
     signed_sum_counts,
     signed_sum_parity,
     solve_weighted,
+    strip_zeros,
     weight_multisets,
     weighted_terminal,
 )
@@ -66,6 +70,29 @@ def test_solver_matches_naive_oracle():
     # the SAME child is skipped when a move cannot win, never solved in part
     for key, value in weighted._memo.items():
         assert value == naive_value(tuple(sorted(key))), key
+
+
+@pytest.mark.parametrize("vectors", [c5_vectors(), [(1,) * 24]], ids=["C5", "ones24"])
+def test_cold_memo_matches_the_sorting_reference(vectors):
+    # spliced children, same move order and pruning: the same states, solved
+    # in the same order, with the same values
+    weighted.clear()
+    memo = {}
+    for w in vectors:
+        assert solve_weighted(w) == reference_solve(strip_zeros(tuple(sorted(w, reverse=True))), memo), w
+    assert list(weighted._memo.items()) == list(memo.items())
+
+
+def test_optimal_query_and_merge_match_the_sorting_reference():
+    memo = {}
+    for base in weight_multisets(12):
+        for v in (base, base + (0,), base + (0, 0)):
+            assert optimal_query(v) == reference_optimal_query(v, memo), v
+            for a in set(v):
+                for b in set(v):
+                    if a == b and v.count(a) < 2:
+                        continue
+                    assert adversarial_merge_weight(v, a, b) == reference_adversarial_merge_weight(v, a, b, memo)
 
 
 @pytest.mark.parametrize("k", range(1, 25))
@@ -159,6 +186,33 @@ def test_signed_sum_parity_matches_the_counts():
             for lo, hi in windows:
                 inside = sum(c for s, c in counts.items() if lo < s <= hi)
                 assert signed_sum_parity(w, lo, hi) == inside % 2, (w, lo, hi)
+
+
+def test_fixed_ball_parities_match_the_counts():
+    # the one-integer product, zero balls (t = 0 too), and weights scaled
+    # past what one integer holds
+    for base in weight_multisets(9):
+        for w, scale in [(base, 1), (base + (0,), 1), (base + (0, 0), 1), (tuple(10**20 * x for x in base), 10**20)]:
+            for lo, hi in [(-scale, 0), (-3 * scale, 3 * scale), (0, 5 * scale), (-len(w) * scale, 2 * scale)]:
+                want = []
+                for t in sorted(set(w), reverse=True):
+                    others = list(w)
+                    others.remove(t)
+                    inside = sum(c for s, c in signed_sum_counts(others).items() if lo < t + s <= hi)
+                    want.append((t, inside % 2))
+                assert list(weighted.fixed_ball_parities(w, lo, hi)) == want, (w, lo, hi)
+
+
+def test_gf2_quotient_removes_one_factor():
+    for w in weight_multisets(12):
+        total = sum(w)
+        poly = weighted._gf2_product(weighted._gf2_factors(w), total)
+        for t in set(w):
+            others = list(w)
+            others.remove(t)
+            want = weighted._gf2_product(weighted._gf2_factors(tuple(others)), total - t)
+            got = weighted._gf2_quotient(poly, t, total - t) & ((1 << (total - t + 1)) - 1)
+            assert got == want, (w, t)
 
 
 def test_relevance_threshold_examples():
