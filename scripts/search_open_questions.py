@@ -5,6 +5,9 @@ whatever the search finds.
   * reverse pair-merge: a non-hard (a, a, rest) whose merge (2a, rest) is
     hard would refute the reverse of the forward hardness propagation;
   * tree floor: search small odd trees for m(T) < n - 3;
+  * even trees: the weight-discipline adversary against every even free
+    tree, any tree it holds below n - 1 listed; each row gives the tree
+    count, the seconds and the size of the shared quotient memo so far;
   * sparse optima: an exhaustive walk of the hub construction's querier's
     answer tree for n = 4..N, which proves m(G_n) <= n - b(n) wherever it
     passes; each row gives the walk's seconds and the process's peak
@@ -13,7 +16,7 @@ whatever the search finds.
     by the tree DP's minimum certificates.
 
 Usage: python3 scripts/search_open_questions.py [--max-tree-n 11] [--max-total 12]
-           [--max-mnd-n 9] [--max-verify-n 16]
+           [--max-even-n 12] [--max-mnd-n 9] [--max-verify-n 16]
 """
 
 import argparse
@@ -21,10 +24,11 @@ import resource
 import time
 from collections import Counter
 
+from majority_game.adversary import TreelemmaAdversary
 from majority_game.bounds import popcount, search_obs_reverse_counterexample
 from majority_game.constructions import build_minedge_graph, minedge_querier, verify_querier
 from majority_game.generators import free_trees
-from majority_game.graphsolver import solve_graph
+from majority_game.graphsolver import forced_queries, quotient_cache_info, solve_graph
 from majority_game.nondet import m_nd
 
 
@@ -32,6 +36,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-tree-n", type=int, default=11)
     parser.add_argument("--max-total", type=int, default=12)
+    parser.add_argument("--max-even-n", type=int, default=12)
     parser.add_argument("--max-mnd-n", type=int, default=9)
     parser.add_argument("--max-verify-n", type=int, default=16)
     args = parser.parse_args(argv)
@@ -57,6 +62,15 @@ def main(argv=None) -> int:
             if m < n - 3:
                 print(f"  n={n}: m(T) = {m} < n-3 for {tree.sorted_edges}")
         print(f"  n={n}: worst gap so far n - m = {worst[0]}")
+
+    print(f"\neven trees against the weight-discipline adversary (n <= {args.max_even_n}):")
+    for n in range(2, args.max_even_n + 1, 2):
+        start = time.time()
+        trees = list(free_trees(n))
+        below = [t.sorted_edges for t in trees if forced_queries(t, TreelemmaAdversary(t)) < n - 1]
+        verdict = f"{len(below)} below n - 1: {below[:3]}" if below else "none below n - 1"
+        print(f"  n={n}: {len(trees)} trees, {verdict} ({time.time() - start:.1f}s,"
+              f" memo {quotient_cache_info()['states']} states)", flush=True)
 
     print(f"\nhub construction answer trees (n <= {args.max_verify_n}):")
     for n in range(4, args.max_verify_n + 1):

@@ -6,6 +6,20 @@ merged component, which must be the sum or the absolute difference of the
 endpoint component weights.  ``graphsolver.play`` translates the chosen
 weight into SAME/DIFF for the concrete splits.
 
+An adversary may also opt in to the label protocol with two methods.
+``component_label(mask, weight)`` returns a hashable label of a component
+whose first entry is its weight, and the static or bound
+``merge_labels(a, b, full)`` returns the label of the union of two
+adjacent components from theirs alone, ``full`` saying whether the union
+is the whole graph.  The label must be closed under merges:
+``component_label(mask_a | mask_b, w)`` equals ``merge_labels(a, b, full)``
+when w is the weight ``choose_merge`` picks, and ``choose_merge`` returns
+``merge_labels(...)[0]``.  Then the adversary's play on a tree depends only
+on the labelled quotient tree, and ``graphsolver.forced_queries`` walks
+quotient trees, with one memo per merge rule shared by every tree.
+``TreelemmaAdversary`` opts in; the colouring, covering and exact-minimax
+adversaries read masks or the whole weight multiset, and do not.
+
 The covering-set adversaries (star covers, odd paths, general odd trees)
 follow a weight-discipline phase and, once the total weight falls to their
 switch threshold, hand over to exact minimax on the residual weight
@@ -171,25 +185,37 @@ def _treelemma_target(sx: int, sy: int, wx: int, wy: int, delta_union: int, full
 
 class TreelemmaAdversary:
     """Keeps every proper q-component X at weight <= 2, with w(X) = 1 for
-    odd |X| and w(X) = 2*(boundary-edge parity) for even |X|."""
+    odd |X| and w(X) = 2*(boundary-edge parity) for even |X|.
+
+    Follows the label protocol: its answer reads only the two components'
+    labels and whether their union is the whole graph."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.full_mask = (1 << graph.n) - 1
         self.odd_degree_mask = _odd_degree_mask(graph.edges)
 
+    def component_label(self, mask: int, weight: int) -> tuple[int, int, int]:
+        """(weight, size parity, odd-degree parity) of a component; the
+        odd-degree parity is that of its boundary edges."""
+        return weight, mask.bit_count() & 1, _boundary_parity(mask, self.odd_degree_mask)
+
+    @staticmethod
+    def merge_labels(a: tuple[int, int, int], b: tuple[int, int, int], full: bool) -> tuple[int, int, int]:
+        """The label of the union of two adjacent components: the weight the
+        discipline picks, and the parities, which add over disjoint sets."""
+        (wa, sa, da), (wb, sb, db) = a, b
+        return _treelemma_target(sa, sb, wa, wb, da ^ db, full), sa ^ sb, da ^ db
+
     def choose_merge(self, view: GameView, edge) -> int:
         u, v = edge
         i, j = view.comp_of(u), view.comp_of(v)
-        union = view.masks[i] | view.masks[j]
-        return _treelemma_target(
-            view.size(i),
-            view.size(j),
-            view.weights[i],
-            view.weights[j],
-            _boundary_parity(union, self.odd_degree_mask),
-            union == self.full_mask,
-        )
+        mi, mj = view.masks[i], view.masks[j]
+        return self.merge_labels(
+            self.component_label(mi, view.weights[i]),
+            self.component_label(mj, view.weights[j]),
+            mi | mj == self.full_mask,
+        )[0]
 
 
 def check_treelemma_conditions(graph: Graph, view: GameView) -> list[str]:

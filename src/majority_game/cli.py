@@ -18,7 +18,7 @@ from . import adversary as adv
 from . import bounds, constructions, generators, nondet, suites, weighted
 from .bounds import popcount
 from .core import Graph, InputError, UnsolvableGraphError, component_weights
-from .graphsolver import Game, forced_queries, play, solve_graph
+from .graphsolver import Game, forced_queries, play, quotient_cache_info, solve_graph
 
 
 def _load_graph(path: str) -> Graph:
@@ -173,8 +173,9 @@ def _cmd_forced(args) -> int:
     graph = _load_graph(args.graph)
     strategy = _ADVERSARIES[args.name](graph, args)
     value = forced_queries(graph, strategy)
-    _emit({"adversary": args.name, "forced_queries": value}, args.json,
-          f"forced queries vs {args.name}: {value}")
+    payload = {"adversary": args.name, "forced_queries": value,
+               "quotient_states": quotient_cache_info()["states"]}
+    _emit(payload, args.json, f"forced queries vs {args.name}: {value}")
     return 0
 
 

@@ -60,6 +60,21 @@ then walks the graph's edges in sorted order, one per component pair, and
 returns the first edge whose both answers leave a state below V, each
 searched with the cutoff V.  That is the smallest edge across an optimal
 pair, and no pair after it is searched.
+
+``forced_queries`` counts the queries a fixed adversary forces.  An
+adversary may opt in to a label protocol (see ``adversary``): a
+``component_label(mask, weight)`` whose first entry is the weight, and a
+``merge_labels(a, b, full)`` that gives the label of two adjacent
+components' union from theirs alone.  On a tree every component is a
+subtree, so a state is a quotient tree with a label on each node, and the
+adversary's answers depend on nothing else.  The walk then recurses over
+quotient trees, contracting one edge per query, and keys its memo by a
+canonical form: the AHU code of the tree rooted at its centre, in which a
+node's code is an int interned for its label and its children's codes.
+The memo is kept per merge rule and shared by every tree, since trees of
+one size reach many of the same quotients; ``quotient_cache_info`` and
+``clear_quotient_cache`` read and empty it.  Any other graph or adversary
+takes the level walk over packed states.
 """
 
 from __future__ import annotations
@@ -84,7 +99,7 @@ from .core import (
     normalize_edge,
     terminal_outcome,
 )
-from .generators import is_path_in_order
+from .generators import is_path_in_order, is_tree
 
 MAX_SOLVER_N = 128  # the minimax is out of reach far below this
 
@@ -498,15 +513,23 @@ def adversary_levels(graph: Graph, adversary) -> Iterator[list[GameView]]:
 
 
 def forced_queries(graph: Graph, adversary) -> int:
-    """Fewest queries any querier needs against the fixed adversary: the
-    first level of ``adversary_levels`` that holds a terminal state.  A
-    terminal state reached only through an earlier one lies on a later
-    level, so walking past terminals cannot lower the answer.
+    """Fewest queries any querier needs against the fixed adversary.
+
+    On a tree, against an adversary with the label protocol (see the
+    module docstring), this is a memoized recursion over labelled quotient
+    trees, ``_quotient_value``.  Otherwise it is the first level of
+    ``adversary_levels`` that holds a terminal state.  A terminal state
+    reached only through an earlier one lies on a later level, so walking
+    past terminals cannot lower the answer.
 
     Walking packed states is sound because every adversary here answers
     as a function of the component partition and weights alone.
     """
     check_solvable(graph)
+    if hasattr(adversary, "merge_labels") and is_tree(graph):
+        labels = tuple(adversary.component_label(1 << v, 1) for v in range(graph.n))
+        memo = _quotient_memo.setdefault(adversary.merge_labels, {})
+        return _quotient_value(adversary.merge_labels, memo, labels, graph.sorted_edges)
     wmask = (1 << graph.n.bit_length()) - 1
     # the walk ends in states with no cross edge, which a solvable graph
     # makes terminal, so some level holds one
@@ -515,3 +538,125 @@ def forced_queries(graph: Graph, adversary) -> int:
         for d, views in enumerate(adversary_levels(graph, adversary))
         if any(_terminal(view.codes, wmask) for view in views)
     )
+
+
+# -- fixed-adversary walks on labelled quotient trees ---------------------
+
+# merge rule -> {canonical key: forced queries}; like ``weighted._memo`` it
+# grows across a process until ``clear_quotient_cache()``
+_quotient_memo: dict = {}
+# (label, sorted child codes) -> code: the rooted subtrees seen so far
+_interned: dict = {}
+
+
+def quotient_cache_info() -> dict[str, int]:
+    """The sizes of the quotient-tree memo ``forced_queries`` shares across
+    calls, over all merge rules, and of its table of rooted subtrees."""
+    return {"states": sum(map(len, _quotient_memo.values())), "interned": len(_interned)}
+
+
+def clear_quotient_cache() -> None:
+    """Empty the memo and the subtree table; later walks refill them with
+    the same values."""
+    _quotient_memo.clear()
+    _interned.clear()
+
+
+def _terminal_labels(labels) -> bool:
+    total = sum(label[0] for label in labels)
+    return total == 0 or 2 * max(label[0] for label in labels) > total
+
+
+def _rooted_code(labels, adj, root: int, blocked: int) -> int:
+    """The interned AHU code of the tree hanging from ``root`` away from
+    ``blocked``: a node's code is that of its label and its children's
+    codes in sorted order."""
+    parent = [-1] * len(labels)
+    parent[root] = blocked
+    order = [root]
+    for v in order:  # breadth first; the list grows as it is read
+        for u in adj[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    kids: list[list[int]] = [[] for _ in labels]
+    for v in reversed(order):
+        shape = (labels[v], tuple(sorted(kids[v])))
+        code = _interned.get(shape)
+        if code is None:
+            code = _interned[shape] = len(_interned)
+        if v != root:
+            kids[parent[v]].append(code)
+    return code
+
+
+def _quotient_key(labels, edges) -> int | tuple[int, int]:
+    """Canonical form of a labelled tree, equal for two trees exactly when
+    a label-preserving isomorphism maps one onto the other: the code of
+    the tree rooted at its centre, or the sorted codes of the two halves
+    when it has two centres."""
+    adj: list[list[int]] = [[] for _ in labels]
+    for x, y in edges:
+        adj[x].append(y)
+        adj[y].append(x)
+    degree = [len(a) for a in adj]
+    layer = [v for v, d in enumerate(degree) if d <= 1]
+    left = len(labels)
+    while left > 2:  # peel the leaves until the centre is left
+        left -= len(layer)
+        peeled = []
+        for v in layer:
+            for u in adj[v]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    peeled.append(u)
+        layer = peeled
+    if len(layer) == 1:
+        return _rooted_code(labels, adj, layer[0], -1)
+    a, b = layer
+    ca, cb = _rooted_code(labels, adj, a, b), _rooted_code(labels, adj, b, a)
+    return (ca, cb) if ca <= cb else (cb, ca)
+
+
+def _contract(labels, edges, e: int, label):
+    """The quotient tree after edge ``e`` contracts into one node with
+    ``label``: it takes the place of the edge's lower end, and the nodes
+    above its upper end move down by one."""
+    a, b = edges[e]
+    if a > b:
+        a, b = b, a
+    child_labels = (*labels[:a], label, *labels[a + 1 : b], *labels[b + 1 :])
+    child_edges = tuple(
+        (a if x == b else x - (x > b), a if y == b else y - (y > b))
+        for f, (x, y) in enumerate(edges)
+        if f != e
+    )
+    return child_labels, child_edges
+
+
+def _quotient_value(rule, memo: dict, labels, edges) -> int:
+    """Fewest queries to a terminal state from a labelled quotient tree when
+    ``rule`` answers each query: 0 at a terminal tree, else 1 + the fewest
+    over the contractions of one edge.  ``memo`` holds the values of the
+    non-terminal trees met so far under their ``_quotient_key``."""
+    if _terminal_labels(labels):
+        return 0
+    key = _quotient_key(labels, edges)
+    value = memo.get(key)
+    if value is None:
+        full = len(labels) == 2  # the last query merges the whole graph
+        children = []
+        for e, (a, b) in enumerate(edges):
+            la, lb = labels[a], labels[b]
+            merged = rule(la, lb, full)
+            if merged[0] != la[0] + lb[0] and merged[0] != abs(la[0] - lb[0]):
+                raise StrategyError(f"merge weight {merged[0]} unreachable from weights ({la[0]}, {lb[0]})")
+            child = _contract(labels, edges, e, merged)
+            if _terminal_labels(child[0]):  # 1, the least a non-terminal tree needs
+                value = 1
+                break
+            children.append(child)
+        else:
+            value = 1 + min(_quotient_value(rule, memo, *child) for child in children)
+        memo[key] = value
+    return value

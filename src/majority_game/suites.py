@@ -294,11 +294,15 @@ def criterion_6() -> list[CheckRecord]:
 # -- criterion 7: adversary strategies --------------------------------------
 
 
+def c7_random_trees(seed: int = 0) -> list:
+    """C7's 24 seeded random trees, four for each n = 9..14."""
+    rng = random.Random(seed)
+    return [generators.random_tree(n, seed=rng.randrange(10 ** 6)) for n in range(9, 15) for _ in range(4)]
+
+
 def criterion_7(seed: int = 0) -> list[CheckRecord]:
     recs = []
-    rng = random.Random(seed)
-    trees = [g for n in range(2, 9) for g in generators.free_trees(n)]
-    trees += [generators.random_tree(n, seed=rng.randrange(10 ** 6)) for n in range(9, 15) for _ in range(4)]
+    trees = [g for n in range(2, 9) for g in generators.free_trees(n)] + c7_random_trees(seed)
     bad = [(g.n, g.sorted_edges) for g in trees if not adv.verify_treelemma_all_orders(g)]
     recs.append(
         _rec(
@@ -311,7 +315,7 @@ def criterion_7(seed: int = 0) -> list[CheckRecord]:
         )
     )
     bad = []
-    for n in (2, 4, 6, 8, 10):
+    for n in range(2, 13, 2):
         for g in generators.free_trees(n):
             got = forced_queries(g, adv.TreelemmaAdversary(g))
             if got != n - 1:
@@ -321,7 +325,7 @@ def criterion_7(seed: int = 0) -> list[CheckRecord]:
             "adversaries",
             "C7 forced queries on even trees",
             not bad,
-            f"weight-discipline adversary forces n-1 on even free trees n <= 10; failures: {bad[:2]}",
+            f"weight-discipline adversary forces n-1 on all even free trees n <= 12; failures: {bad[:2]}",
             f"majority-game run-suite adversaries --seed {seed}",
         )
     )

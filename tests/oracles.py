@@ -12,9 +12,12 @@ and the atlas inputs that several differential tests share.
   merge read from it;
 * the split state as sorted side tuples, with its per-vertex component
   scan, its tuple-rebuilding merge, its outcome checks and the per-vertex
-  packing of its components.
+  packing of its components;
+* the canonical form of a labelled graph as the least relabelling over
+  every vertex permutation.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -327,3 +330,24 @@ def tuple_encode_state(state: TupleState) -> tuple[int, ...]:
             m |= 1 << v
         codes.append((m << shift) | comp.weight)
     return tuple(sorted(codes))
+
+
+@functools.cache
+def _least_edges(n: int, edges: tuple) -> tuple[tuple, list]:
+    """The least sorted edge list over every renumbering of the vertices,
+    and the renumberings that reach it."""
+    forms: dict[tuple, list] = {}
+    for perm in itertools.permutations(range(n)):
+        form = tuple(sorted((min(perm[x], perm[y]), max(perm[x], perm[y])) for x, y in edges))
+        forms.setdefault(form, []).append(perm)
+    least = min(forms)
+    return least, forms[least]
+
+
+def brute_canonical_form(labels, edges):
+    """The least (sorted edges, labels) over every renumbering of the
+    vertices: equal for two labelled graphs exactly when they are
+    isomorphic with their labels."""
+    least, perms = _least_edges(len(labels), tuple(edges))
+    order = range(len(labels))
+    return least, min(tuple(labels[v] for v in sorted(order, key=perm.__getitem__)) for perm in perms)

@@ -1,10 +1,15 @@
-"""The level-by-level adversary walk against the recursive and stack-walk
-forms it replaced, kept here as the reference."""
+"""The adversary walks against the recursive and stack-walk forms they
+replaced, kept here as the reference: the level-by-level walk over packed
+states, and the memoized walk over labelled quotient trees."""
 
+import itertools
 import random
 
+import pytest
+from oracles import brute_canonical_form
+
 from majority_game import adversary as adv
-from majority_game.core import GameError
+from majority_game.core import GameError, Graph, StrategyError, UnsolvableGraphError
 from majority_game.generators import (
     complete_graph,
     free_trees,
@@ -15,12 +20,16 @@ from majority_game.generators import (
 )
 from majority_game.graphsolver import (
     GameView,
+    _quotient_key,
     _terminal,
     adversary_levels,
     adversary_successors,
+    clear_quotient_cache,
     forced_queries,
+    quotient_cache_info,
     root_codes,
 )
+from majority_game.suites import c7_random_trees
 
 
 def reference_forced_queries(graph, adversary) -> int:
@@ -137,3 +146,118 @@ def test_all_orders_catches_a_broken_discipline(monkeypatch):
     assert reference_all_orders(g) is False
     assert adv.verify_treelemma_all_orders(g) is False
 
+
+
+# -- the walk over labelled quotient trees -----------------------------------
+
+
+class _SizeMod3Adversary(adv.TreelemmaAdversary):
+    """A label-closed adversary whose forced values differ between trees of
+    one size: weights add when the two sizes sum to 0 mod 3 and cancel
+    otherwise.  The tree-lemma adversary forces n - 1 on every even tree,
+    and its parities are read off the quotient tree itself (the size
+    parity is the weight's, and the odd-degree parity is that of the
+    node's degree), so a key that loses them can still pass with it.  A
+    size mod 3 is not determined by the quotient tree and its weights."""
+
+    def component_label(self, mask, weight):
+        return weight, mask.bit_count() % 3
+
+    @staticmethod
+    def merge_labels(a, b, full):
+        (wa, ra), (wb, rb) = a, b
+        return wa + wb if (ra + rb) % 3 == 0 else abs(wa - wb), (ra + rb) % 3
+
+
+class _UnreachableLabels(adv.TreelemmaAdversary):
+    @staticmethod
+    def merge_labels(a, b, full):
+        return a[0] + b[0] + 1, a[1] ^ b[1], a[2] ^ b[2]
+
+
+def test_labels_are_closed_under_merges():
+    """In every state the codes walk reaches, the label of each cross
+    edge's union is the merge of its two components' labels."""
+    for n in range(2, 9):
+        for g in free_trees(n):
+            for adversary in (adv.TreelemmaAdversary(g), _SizeMod3Adversary(g)):
+                for codes in reference_reachable(g, adversary):
+                    view = GameView(g, codes)
+                    for u, v in g.sorted_edges:
+                        i, j = view.comp_of(u), view.comp_of(v)
+                        if i == j:
+                            continue
+                        mi, mj = view.masks[i], view.masks[j]
+                        target = adversary.choose_merge(view, (u, v))
+                        merged = adversary.merge_labels(
+                            adversary.component_label(mi, view.weights[i]),
+                            adversary.component_label(mj, view.weights[j]),
+                            mi | mj == adversary.full_mask,
+                        )
+                        assert adversary.component_label(mi | mj, target) == merged
+
+
+def labelled_trees():
+    """Every free tree with at most 6 nodes under every labelling over
+    three symbols (two at 6 nodes), each also under one of three seeded
+    renumberings of its vertices."""
+    rng = random.Random(5)
+    for n in range(1, 7):
+        for g in free_trees(n):
+            perms = [rng.sample(range(n), n) for _ in range(3)]
+            for t, labels in enumerate(itertools.product(range(3 if n < 6 else 2), repeat=n)):
+                yield labels, g.sorted_edges
+                perm = perms[t % 3]
+                yield tuple(labels[perm.index(v)] for v in range(n)), [(perm[x], perm[y]) for x, y in g.sorted_edges]
+
+
+def test_quotient_key_matches_the_brute_force_form():
+    forms_by_key, keys_by_form = {}, {}
+    for labels, edges in labelled_trees():
+        key, form = _quotient_key(labels, edges), brute_canonical_form(labels, edges)
+        forms_by_key.setdefault(key, set()).add(form)
+        keys_by_form.setdefault(form, set()).add(key)
+    assert all(len(forms) == 1 for forms in forms_by_key.values())
+    assert all(len(keys) == 1 for keys in keys_by_form.values())
+
+
+def test_label_walk_matches_the_codes_walk():
+    """Free trees with n <= 9 are compared by the test above."""
+    clear_quotient_cache()
+    for g in [*free_trees(10), *c7_random_trees()]:
+        strat = adv.TreelemmaAdversary(g)
+        assert forced_queries(g, strat) == reference_forced_queries(g, strat)
+
+
+def test_label_walk_tells_trees_apart():
+    clear_quotient_cache()
+    for n in range(1, 11):
+        values = set()
+        for g in free_trees(n):
+            strat = _SizeMod3Adversary(g)
+            got = forced_queries(g, strat)
+            assert got == reference_forced_queries(g, strat)
+            values.add(got)
+        assert len(values) >= (2 if n >= 4 else 1)
+
+
+def test_label_walk_errors():
+    with pytest.raises(StrategyError):
+        forced_queries(path_graph(4), _UnreachableLabels(path_graph(4)))
+    forest = Graph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(UnsolvableGraphError):
+        forced_queries(forest, adv.TreelemmaAdversary(forest))
+
+
+def test_quotient_cache_is_shared_and_cleared():
+    clear_quotient_cache()
+    assert quotient_cache_info() == {"states": 0, "interned": 0}
+    g = path_graph(8)
+    assert forced_queries(g, adv.TreelemmaAdversary(g)) == 7
+    filled = quotient_cache_info()
+    assert filled["states"] > 0 and filled["interned"] > 0
+    h = Graph.from_edges(8, [(7 - u, 7 - v) for u, v in g.sorted_edges])  # P8 renumbered
+    assert forced_queries(h, adv.TreelemmaAdversary(h)) == 7
+    assert quotient_cache_info() == filled
+    clear_quotient_cache()
+    assert quotient_cache_info() == {"states": 0, "interned": 0}

@@ -10,6 +10,7 @@ from majority_game.cli import main
 from majority_game.constructions import build_minedge_graph
 from majority_game.core import Graph, StrategyError
 from majority_game.generators import path_graph, random_tree, star_graph
+from majority_game.graphsolver import clear_quotient_cache
 
 
 @pytest.fixture
@@ -306,9 +307,15 @@ def test_adversary_playback(capsys, path6_file):
 
 
 def test_forced_subcommand(capsys, path6_file):
-    code, out = run_cli(capsys, ["forced", "treelemma", path6_file, "--json"])
-    assert code == 0
-    assert json.loads(out)["forced_queries"] == 5
+    # the quotient memo is shared by the process: empty it so both runs start cold
+    payloads = []
+    for _ in range(2):
+        clear_quotient_cache()
+        code, out = run_cli(capsys, ["forced", "treelemma", path6_file, "--json"])
+        assert code == 0
+        payloads.append(json.loads(out))
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["forced_queries"] == 5 and payloads[0]["quotient_states"] == 14
 
 
 def test_generate_free_trees_stream(capsys):

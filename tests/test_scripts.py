@@ -30,7 +30,7 @@ def test_odd_path_table_smoke(capsys):
 
 
 def test_search_open_questions_smoke(capsys):
-    argv = ["--max-tree-n", "7", "--max-total", "6", "--max-mnd-n", "7", "--max-verify-n", "8"]
+    argv = ["--max-tree-n", "7", "--max-total", "6", "--max-even-n", "8", "--max-mnd-n", "7", "--max-verify-n", "8"]
     assert load_script("search_open_questions").main(argv) == 0
     out = capsys.readouterr().out
     section = out.split("hub construction answer trees (n <= 8):\n")[1]
@@ -44,3 +44,7 @@ def test_search_open_questions_smoke(capsys):
                     "  n=5: 2 with m_nd = 2, 1 with m_nd = 3",
                     "  n=7: 11 with m_nd = 4"]
     assert "n=7: worst gap so far n - m = 3" in out
+    section = out.split("even trees against the weight-discipline adversary (n <= 8):\n")[1]
+    rows, stats = zip(*(line.split(" (") for line in section.splitlines()[:4]))
+    assert list(rows) == [f"  n={n}: {count} trees, none below n - 1" for n, count in [(2, 1), (4, 2), (6, 6), (8, 23)]]
+    assert all(re.fullmatch(r"\d+\.\ds, memo [1-9]\d* states\)", s) for s in stats), stats
