@@ -6,8 +6,11 @@ whatever the search finds.
     hard would refute the reverse of the forward hardness propagation;
   * tree floor: search small odd trees for m(T) < n - 3;
   * even trees: the weight-discipline adversary against every even free
-    tree, any tree it holds below n - 1 listed; each row gives the tree
-    count, the seconds and the size of the shared quotient memo so far;
+    tree, any tree it holds below n - 1 listed, and its conditions checked
+    in every state of every query order, any tree that breaks them listed;
+    each row gives the tree count, then the seconds and the size so far of
+    the shared quotient memo for the forced queries and of the shared
+    visited set for the all-orders check;
   * sparse optima: an exhaustive walk of the hub construction's querier's
     answer tree for n = 4..N, which proves m(G_n) <= n - b(n) wherever it
     passes; each row gives the walk's seconds and the process's peak
@@ -24,7 +27,7 @@ import resource
 import time
 from collections import Counter
 
-from majority_game.adversary import TreelemmaAdversary
+from majority_game.adversary import TreelemmaAdversary, verify_treelemma_all_orders
 from majority_game.bounds import popcount, search_obs_reverse_counterexample
 from majority_game.constructions import build_minedge_graph, minedge_querier, verify_querier
 from majority_game.generators import free_trees
@@ -69,8 +72,12 @@ def main(argv=None) -> int:
         trees = list(free_trees(n))
         below = [t.sorted_edges for t in trees if forced_queries(t, TreelemmaAdversary(t)) < n - 1]
         verdict = f"{len(below)} below n - 1: {below[:3]}" if below else "none below n - 1"
-        print(f"  n={n}: {len(trees)} trees, {verdict} ({time.time() - start:.1f}s,"
-              f" memo {quotient_cache_info()['states']} states)", flush=True)
+        forced_s, start = time.time() - start, time.time()
+        broken = [t.sorted_edges for t in trees if not verify_treelemma_all_orders(t)]
+        verdict += f", all orders break on {len(broken)}: {broken[:3]}" if broken else ", all orders hold"
+        info = quotient_cache_info()
+        print(f"  n={n}: {len(trees)} trees, {verdict} ({forced_s:.1f}s, memo {info['states']} states;"
+              f" {time.time() - start:.1f}s, visited {info['visited']} states)", flush=True)
 
     print(f"\nhub construction answer trees (n <= {args.max_verify_n}):")
     for n in range(4, args.max_verify_n + 1):

@@ -16,7 +16,9 @@ is the whole graph.  The label must be closed under merges:
 when w is the weight ``choose_merge`` picks, and ``choose_merge`` returns
 ``merge_labels(...)[0]``.  Then the adversary's play on a tree depends only
 on the labelled quotient tree, and ``graphsolver.forced_queries`` walks
-quotient trees, with one memo per merge rule shared by every tree.
+quotient trees, with one memo per merge rule shared by every tree;
+``verify_treelemma_all_orders`` checks the discipline's conditions on the
+labels of the same quotient trees through ``graphsolver.all_orders_hold``.
 ``TreelemmaAdversary`` opts in; the colouring, covering and exact-minimax
 adversaries read masks or the whole weight multiset, and do not.
 
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from . import weighted
 from .core import BLUE, RED, GameError, Graph, InputError, QueryState, parse_coloring
 from .generators import is_path_in_order, is_tree, rooted_order
-from .graphsolver import Game, GameView, adversary_levels
+from .graphsolver import Game, GameView, adversary_levels, all_orders_hold
 
 
 class AdversaryInvariantError(GameError):
@@ -218,22 +220,33 @@ class TreelemmaAdversary:
         )[0]
 
 
+def _label_violations(label: tuple[int, int, int]) -> list[str]:
+    """The weight-discipline conditions a proper component's tree-lemma
+    label breaks."""
+    w, odd, delta = label
+    out = []
+    if not 0 <= w <= 2:
+        out.append(f"weight {w} outside [0, 2]")
+    if odd and w != 1:
+        out.append(f"odd size but weight {w}")
+    if not odd and w != 2 * delta:
+        out.append(f"even size, weight {w} != 2*delta")
+    return out
+
+
+def _meets_discipline(label: tuple[int, int, int]) -> bool:
+    return not _label_violations(label)
+
+
 def check_treelemma_conditions(graph: Graph, view: GameView) -> list[str]:
     """Violations of the weight-discipline conditions on proper components."""
-    full = (1 << graph.n) - 1
-    odd = _odd_degree_mask(graph.edges)
-    out = []
-    for i, mask in enumerate(view.masks):
-        if mask == full:
-            continue
-        w, size = view.weights[i], view.size(i)
-        if not 0 <= w <= 2:
-            out.append(f"component {i}: weight {w} outside [0, 2]")
-        if size % 2 == 1 and w != 1:
-            out.append(f"component {i}: odd size {size} but weight {w}")
-        if size % 2 == 0 and w != 2 * _boundary_parity(mask, odd):
-            out.append(f"component {i}: even size {size}, weight {w} != 2*delta")
-    return out
+    adversary = TreelemmaAdversary(graph)
+    return [
+        f"component {i} (size {view.size(i)}): {msg}"
+        for i, (mask, w) in enumerate(zip(view.masks, view.weights))
+        if mask != adversary.full_mask
+        for msg in _label_violations(adversary.component_label(mask, w))
+    ]
 
 
 def centroid_decomposition(tree: Graph, p: int) -> frozenset[int]:
@@ -547,12 +560,18 @@ def verify_treelemma_all_orders(graph: Graph) -> bool:
     """Exhaustively walk every query order against the weight-discipline
     adversary and check its conditions in every reached state.
 
-    Each distinct state is checked once, on its level; the walk goes on
-    past terminal states, whose proper components the conditions still
-    cover.
+    The walk goes on past terminal states, whose proper components the
+    conditions still cover.  On a tree it is ``graphsolver.all_orders_hold``
+    over labelled quotient trees, which checks each of them once per
+    process (until ``clear_quotient_cache()``) and only the label a merge
+    makes; on any other graph each distinct packed state is checked once,
+    on its level of ``adversary_levels``.
     """
+    adversary = TreelemmaAdversary(graph)
+    if is_tree(graph):
+        return all_orders_hold(graph, adversary, _meets_discipline)
     return not any(
         check_treelemma_conditions(graph, view)
-        for views in adversary_levels(graph, TreelemmaAdversary(graph))
+        for views in adversary_levels(graph, adversary)
         for view in views
     )

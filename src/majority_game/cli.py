@@ -71,6 +71,8 @@ def _cmd_solve_graph(args) -> int:
         "table_entries": res.table_entries,
         "bound_entries": res.bound_entries,
         "closed_by_upper": res.closed_by_upper,
+        "exact_hits": res.exact_hits,
+        "bound_hits": res.bound_hits,
     }
     _emit(payload, args.json, f"m(G) = {res.value}  [n={graph.n}, m={len(graph.edges)}, "
           f"{res.nodes_expanded} nodes, {res.runtime_ms:.1f} ms, {res.canonical} keys]")

@@ -45,15 +45,34 @@ the parity of n, and two weights with an odd sum differ, so one outweighs
 the rest).  It skips the z zero-weight components whose neighbours lie
 inside at most one other component: such a component connects no two
 others, now or after any merge, so the rest merge without it, and it
-weighs nothing at the end.  A node with lb >= ub is exact at ub and is
-closed unexpanded (``closed_by_upper`` counts these); otherwise its best
-starts at min(ub, beta), and a search that finds no move below ub proves
-ub exact.  A move's second answer is searched only when its first does
-not already cut the move.
+weighs nothing at the end.  z is counted before the moves are scanned:
+each zero component's neighbour mask is tested against the other
+components' masks up to the first it meets, whose mask must then hold it
+whole.  (Counting z from the scan of the moves, by tallying each
+component's adjacent pairs, measured slower, as most nodes hold one zero
+component or none.)  A node with lb >= ub is exact at ub and is closed
+with no scan of its moves (``closed_by_upper`` counts these); otherwise
+its best starts at min(ub, beta), and a search that finds no move below
+ub proves ub exact.  A move's second answer is searched only when its
+first does not already cut the move.
 The table has two kinds of entry: exact values, which answer every
 lookup, and lower bounds from nodes that found no move below their beta,
 which answer a lookup whose cutoff they reach and otherwise seed the
 re-search.  Both kinds count towards ``table_cap``.
+
+Where a child is decided: the parent's move loop, not a call.  ``_value``
+is the entry, used at the root and by ``best_query``; it reads the tables
+and the weighted bound, and calls ``_expand`` only when they leave the
+state open.  ``_expand`` decides each child of its own moves in the loop:
+an exact entry is the child's value (``exact_hits``), a weighted bound of
+0 marks a terminal child worth 0, and a lower-bound entry that reaches the
+cutoff best - 1 refutes the move (``bound_hits``).  The child's own
+weighted bound never refutes it there, since the moves are ordered by it
+and the loop has stopped before a move whose bound reaches the cutoff.
+Only a child left open costs a call, which is handed the key computed for
+the probe and the better of the two bounds; its neighbour masks are merged
+then, once for both answers.  So every ``_expand`` call opens a node: it
+is expanded, or closed by lb >= ub.
 
 ``best_query`` names the move: it first takes the state's exact value V,
 then walks the graph's edges in sorted order, one per component pair, and
@@ -72,9 +91,13 @@ quotient trees, contracting one edge per query, and keys its memo by a
 canonical form: the AHU code of the tree rooted at its centre, in which a
 node's code is an int interned for its label and its children's codes.
 The memo is kept per merge rule and shared by every tree, since trees of
-one size reach many of the same quotients; ``quotient_cache_info`` and
-``clear_quotient_cache`` read and empty it.  Any other graph or adversary
-takes the level walk over packed states.
+one size reach many of the same quotients.  ``all_orders_hold`` walks the
+same quotient trees, past terminal ones, and checks a predicate on the
+label of every proper node, only the merged node's label after each
+contraction; the keys of the trees from which everything reachable passed
+form a visited set kept per merge rule and predicate, shared the same way.
+``quotient_cache_info`` and ``clear_quotient_cache`` read and empty both.
+Any other graph or adversary takes the level walk over packed states.
 """
 
 from __future__ import annotations
@@ -121,6 +144,8 @@ class SolveResult:
     table_entries: int  # exact values and lower bounds together
     bound_entries: int
     closed_by_upper: int  # nodes closed, unexpanded, by lb >= ub
+    exact_hits: int  # children decided by an exact entry, without a call
+    bound_hits: int  # children whose lower-bound entry refuted their move
 
 
 @dataclass(frozen=True)
@@ -187,13 +212,18 @@ def _merge_codes(codes, i: int, j: int, w: int, shift: int) -> tuple[int, ...]:
     code takes the place of the larger of the two and the order holds."""
     if i > j:
         i, j = j, i
-    merged = ((codes[i] | codes[j]) >> shift << shift) | w
-    return (*codes[:i], *codes[i + 1 : j], merged, *codes[j + 1 :])
+    out = list(codes)
+    out[j] = ((codes[i] | codes[j]) >> shift << shift) | w
+    del out[i]
+    return tuple(out)
 
 
 def _merge_nbrs(nbrs, i: int, j: int, merged: int) -> tuple[int, ...]:
     """The neighbour masks after components i < j merge into ``merged``."""
-    return (*nbrs[:i], *nbrs[i + 1 : j], (nbrs[i] | nbrs[j]) & ~merged, *nbrs[j + 1 :])
+    out = list(nbrs)
+    out[j] = (nbrs[i] | nbrs[j]) & ~merged
+    del out[i]
+    return tuple(out)
 
 
 class GameView:
@@ -270,6 +300,8 @@ class GraphSolver:
         self.table_cap = table_cap
         self.nodes = 0
         self.closed = 0  # nodes whose lower bound met the upper bound
+        self.exact_hits = 0
+        self.bound_hits = 0
 
     def _key(self, codes: tuple[int, ...]) -> tuple[int, ...]:
         if self.canonical == "generic":
@@ -292,24 +324,6 @@ class GraphSolver:
         """``_value`` on a packed state given by its codes alone."""
         return self._value(codes, *self._carried(GameView(self.graph, codes)), beta)
 
-    def _upper(self, weights, masks, nbrs) -> int:
-        """A strategy's cost from a non-terminal state: merge the components
-        along the graph's edges, all but one on an even total and all but
-        two on an odd one, skipping each zero-weight component whose
-        neighbours lie inside at most one other component."""
-        ub = len(masks) - 1 - (self.n & 1)
-        if 0 in weights:
-            for w, nb in zip(weights, nbrs):
-                if not w:
-                    for m in masks:
-                        if m & nb:  # the component of its first neighbour
-                            if not nb & ~m:
-                                ub -= 1
-                            break
-                    else:  # no neighbours at all
-                        ub -= 1
-        return ub
-
     def _value(self, codes: tuple[int, ...], nbrs: tuple[int, ...], cnt: int, beta: int) -> int:
         """The state's exact value if it is below beta, else a proven lower
         bound on it that is at least beta.  ``nbrs[i]`` holds the vertices
@@ -318,16 +332,35 @@ class GraphSolver:
         hit = self.table.get(key)
         if hit is not None:
             return hit
-        wmask, shift, units, bounds = self.wmask, self.shift, self.units, self.bounds
-        lb = bounds[cnt >> shift]
+        lb = self.bounds[cnt >> self.shift]
         if not lb:  # the weighted value is 0 on exactly the terminal states
             return 0
         lb = max(self.bound_table.get(key, 0), lb)
         if lb >= beta:
             return lb
+        return self._expand(key, codes, nbrs, cnt, lb, beta)
+
+    def _expand(self, key, codes: tuple[int, ...], nbrs: tuple[int, ...], cnt: int, lb: int, beta: int) -> int:
+        """``_value`` of a non-terminal state that the tables leave open:
+        ``key`` is its table key and ``lb`` its best lower bound, below beta.
+        The loop decides a child from the tables itself, and calls this only
+        for a child that must be searched."""
+        wmask, shift, units, bounds = self.wmask, self.shift, self.units, self.bounds
         weights = [c & wmask for c in codes]
         masks = [c >> shift for c in codes]
-        ub = self._upper(weights, masks, nbrs)
+        # ub = k - 1 - (n & 1) - z, z the zero components whose neighbours
+        # lie inside at most one other component, the first one they meet
+        ub = len(codes) - 1 - (self.n & 1)
+        if 0 in weights:
+            for w, nb in zip(weights, nbrs):
+                if not w:
+                    for m in masks:
+                        if m & nb:
+                            if not nb & ~m:
+                                ub -= 1
+                            break
+                    else:  # no neighbours at all
+                        ub -= 1
         if lb >= ub:
             self.closed += 1
             return self._store(key, ub, self.table)
@@ -343,29 +376,50 @@ class GraphSolver:
                     lb_minus = bounds[(rest + units[minus]) >> shift]
                     # the answer with the higher bound is searched first
                     if lb_minus >= lb_plus:
-                        moves.append((1 + lb_minus, -plus, i, j, minus, plus))
+                        moves.append((1 + lb_minus, -plus, i, j, minus, plus, lb_plus))
                     else:
-                        moves.append((1 + lb_plus, -plus, i, j, plus, minus))
+                        moves.append((1 + lb_plus, -plus, i, j, plus, minus, lb_minus))
         moves.sort()
+        table, bound_table, expand = self.table, self.bound_table, self._expand
+        path_key = self._key if self.canonical == "path" else None
+        exact_hits = bound_hits = 0
         # only a move below beta is of use to the caller, and only one below
         # ub can change the value; a search that finds none proves ub exact
         best = min(ub, beta)
-        for est, _, i, j, first, second in moves:
+        for est, _, i, j, first, second, lb_second in moves:
             if est >= best:  # ordered by est: no later move can improve
                 break
-            # both answers leave the same components with the same neighbours
-            child_nbrs = _merge_nbrs(nbrs, i, j, masks[i] | masks[j])
-            rest = cnt - units[weights[i]] - units[weights[j]]
-            v1 = self._value(_merge_codes(codes, i, j, first, shift), child_nbrs, rest + units[first], best - 1)
-            if 1 + v1 >= best:
-                continue
-            v2 = self._value(_merge_codes(codes, i, j, second, shift), child_nbrs, rest + units[second], best - 1)
-            mv = 1 + max(v1, v2)
-            if mv < best:
-                best = mv
+            cut = best - 1  # a child worth this much cannot improve the move
+            child_nbrs = None  # both answers leave the same neighbour masks
+            worst = 0
+            for w, child_lb in ((first, est - 1), (second, lb_second)):
+                child = _merge_codes(codes, i, j, w, shift)
+                child_key = path_key(child) if path_key else child
+                v = table.get(child_key)
+                if v is not None:
+                    exact_hits += 1
+                elif not child_lb:  # terminal
+                    v = 0
+                else:
+                    v = bound_table.get(child_key, 0)
+                    if v >= cut:
+                        bound_hits += 1
+                        break
+                    if child_nbrs is None:
+                        child_nbrs = _merge_nbrs(nbrs, i, j, masks[i] | masks[j])
+                    child_cnt = cnt - units[weights[i]] - units[weights[j]] + units[w]
+                    v = expand(child_key, child, child_nbrs, child_cnt, max(v, child_lb), cut)
+                if v >= cut:  # the second answer is searched only if this one does not cut the move
+                    break
+                if v > worst:
+                    worst = v
+            else:
+                best = 1 + worst
                 if best <= lb:
                     break
-        return self._store(key, best, self.table if best < beta else self.bound_table)
+        self.exact_hits += exact_hits
+        self.bound_hits += bound_hits
+        return self._store(key, best, table if best < beta else bound_table)
 
     def _store(self, key: tuple[int, ...], value: int, table: dict) -> int:
         """Table an exact value or a lower bound, replacing any bound the
@@ -380,7 +434,10 @@ class GraphSolver:
         value = self._search(root_codes(self.n), self.n)  # every value is below n
         ms = (time.perf_counter() - t0) * 1000.0
         entries = len(self.table) + len(self.bound_table)
-        return SolveResult(value, self.nodes, ms, self.canonical, entries, len(self.bound_table), self.closed)
+        return SolveResult(
+            value, self.nodes, ms, self.canonical, entries, len(self.bound_table), self.closed,
+            self.exact_hits, self.bound_hits,
+        )
 
     def best_query(self, state: QueryState) -> Edge:
         """Optimal move in a state; ties go to the smallest canonical edge.
@@ -527,9 +584,8 @@ def forced_queries(graph: Graph, adversary) -> int:
     """
     check_solvable(graph)
     if hasattr(adversary, "merge_labels") and is_tree(graph):
-        labels = tuple(adversary.component_label(1 << v, 1) for v in range(graph.n))
         memo = _quotient_memo.setdefault(adversary.merge_labels, {})
-        return _quotient_value(adversary.merge_labels, memo, labels, graph.sorted_edges)
+        return _quotient_value(adversary.merge_labels, memo, _root_labels(graph, adversary), graph.sorted_edges)
     wmask = (1 << graph.n.bit_length()) - 1
     # the walk ends in states with no cross edge, which a solvable graph
     # makes terminal, so some level holds one
@@ -545,21 +601,59 @@ def forced_queries(graph: Graph, adversary) -> int:
 # merge rule -> {canonical key: forced queries}; like ``weighted._memo`` it
 # grows across a process until ``clear_quotient_cache()``
 _quotient_memo: dict = {}
+# (merge rule, label check) -> canonical keys of the trees from which every
+# reachable tree passed the check; shared the same way
+_visited: dict = {}
 # (label, sorted child codes) -> code: the rooted subtrees seen so far
 _interned: dict = {}
 
 
 def quotient_cache_info() -> dict[str, int]:
     """The sizes of the quotient-tree memo ``forced_queries`` shares across
-    calls, over all merge rules, and of its table of rooted subtrees."""
-    return {"states": sum(map(len, _quotient_memo.values())), "interned": len(_interned)}
+    calls, over all merge rules, of the visited set ``all_orders_hold``
+    shares, and of their table of rooted subtrees."""
+    return {
+        "states": sum(map(len, _quotient_memo.values())),
+        "visited": sum(map(len, _visited.values())),
+        "interned": len(_interned),
+    }
 
 
 def clear_quotient_cache() -> None:
-    """Empty the memo and the subtree table; later walks refill them with
-    the same values."""
+    """Empty the memo, the visited set and the subtree table; later walks
+    refill them with the same values."""
     _quotient_memo.clear()
+    _visited.clear()
     _interned.clear()
+
+
+def all_orders_hold(graph: Graph, adversary, holds) -> bool:
+    """Whether ``holds(label)`` is true of every proper component in every
+    state that some query order reaches against ``adversary``, terminal
+    states walked past, on a tree and with the label protocol.  Each
+    labelled quotient tree is checked once per merge rule and check."""
+    if not is_tree(graph):
+        raise InputError("the labelled quotient walk needs a tree")
+    labels = _root_labels(graph, adversary)
+    if len(labels) < 2:  # the one component is the whole graph
+        return True
+    seen = _visited.setdefault((adversary.merge_labels, holds), set())
+    return all(map(holds, labels)) and _quotient_states_hold(
+        adversary.merge_labels, holds, seen, labels, graph.sorted_edges
+    )
+
+
+def _root_labels(graph: Graph, adversary) -> tuple:
+    return tuple(adversary.component_label(1 << v, 1) for v in range(graph.n))
+
+
+def _merged_label(rule, a, b, full: bool):
+    """``rule``'s label for the union of two adjacent nodes, whose weight
+    must be the sum or the difference of theirs."""
+    merged = rule(a, b, full)
+    if merged[0] != a[0] + b[0] and merged[0] != abs(a[0] - b[0]):
+        raise StrategyError(f"merge weight {merged[0]} unreachable from weights ({a[0]}, {b[0]})")
+    return merged
 
 
 def _terminal_labels(labels) -> bool:
@@ -625,13 +719,15 @@ def _contract(labels, edges, e: int, label):
     a, b = edges[e]
     if a > b:
         a, b = b, a
-    child_labels = (*labels[:a], label, *labels[a + 1 : b], *labels[b + 1 :])
+    child_labels = list(labels)
+    child_labels[a] = label
+    del child_labels[b]
     child_edges = tuple(
         (a if x == b else x - (x > b), a if y == b else y - (y > b))
         for f, (x, y) in enumerate(edges)
         if f != e
     )
-    return child_labels, child_edges
+    return tuple(child_labels), child_edges
 
 
 def _quotient_value(rule, memo: dict, labels, edges) -> int:
@@ -647,11 +743,7 @@ def _quotient_value(rule, memo: dict, labels, edges) -> int:
         full = len(labels) == 2  # the last query merges the whole graph
         children = []
         for e, (a, b) in enumerate(edges):
-            la, lb = labels[a], labels[b]
-            merged = rule(la, lb, full)
-            if merged[0] != la[0] + lb[0] and merged[0] != abs(la[0] - lb[0]):
-                raise StrategyError(f"merge weight {merged[0]} unreachable from weights ({la[0]}, {lb[0]})")
-            child = _contract(labels, edges, e, merged)
+            child = _contract(labels, edges, e, _merged_label(rule, labels[a], labels[b], full))
             if _terminal_labels(child[0]):  # 1, the least a non-terminal tree needs
                 value = 1
                 break
@@ -660,3 +752,23 @@ def _quotient_value(rule, memo: dict, labels, edges) -> int:
             value = 1 + min(_quotient_value(rule, memo, *child) for child in children)
         memo[key] = value
     return value
+
+
+def _quotient_states_hold(rule, holds, seen: set, labels, edges) -> bool:
+    """Whether every tree that contractions reach from this labelled
+    quotient tree, itself included, has ``holds`` true of each proper node's
+    label, given that its own labels pass.  Only the merged node's label is
+    new in a contraction, so only it is checked; ``seen`` holds the keys of
+    the trees already found to pass."""
+    key = _quotient_key(labels, edges)
+    if key in seen:
+        return True
+    full = len(labels) == 2  # the last query merges the whole graph
+    for e, (a, b) in enumerate(edges):
+        merged = _merged_label(rule, labels[a], labels[b], full)
+        if full:
+            continue  # the whole graph is no proper component
+        if not holds(merged) or not _quotient_states_hold(rule, holds, seen, *_contract(labels, edges, e, merged)):
+            return False
+    seen.add(key)
+    return True

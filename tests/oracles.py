@@ -14,7 +14,9 @@ and the atlas inputs that several differential tests share.
   scan, its tuple-rebuilding merge, its outcome checks and the per-vertex
   packing of its components;
 * the canonical form of a labelled graph as the least relabelling over
-  every vertex permutation.
+  every vertex permutation;
+* the graph solver's strategy upper bound, its zero components found from
+  the graph's edges.
 """
 
 import functools
@@ -95,6 +97,21 @@ def all_pairs_best_query(solver, state: QueryState):
         )
     target = min(pair_value.values())
     return min(edge for edge, value in pair_value.items() if value == target)
+
+
+def reference_upper(graph: Graph, view: GameView) -> int:
+    """k - 1 - (n & 1) - z for a non-terminal state of k components, z the
+    zero-weight components that the graph's edges join to at most one other
+    component."""
+    k = len(view.codes)
+    joined = [set() for _ in range(k)]
+    for u, v in graph.sorted_edges:
+        a, b = view.comp_of(u), view.comp_of(v)
+        if a != b:
+            joined[a].add(b)
+            joined[b].add(a)
+    z = sum(1 for w, others in zip(view.weights, joined) if not w and len(others) <= 1)
+    return k - 1 - (graph.n & 1) - z
 
 
 def atlas_graphs(max_n):

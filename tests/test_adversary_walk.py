@@ -110,6 +110,8 @@ def test_treelemma_walk_matches_the_reference():
         strat = adv.TreelemmaAdversary(g)
         assert forced_queries(g, strat) == reference_forced_queries(g, strat)
         assert adv.verify_treelemma_all_orders(g) == reference_all_orders(g)
+    for g in free_trees(10):
+        assert adv.verify_treelemma_all_orders(g) == reference_all_orders(g)
 
 
 def test_covering_adversaries_match_the_reference():
@@ -141,11 +143,49 @@ def test_levels_hold_states_by_component_count():
 
 
 def test_all_orders_catches_a_broken_discipline(monkeypatch):
-    monkeypatch.setattr(adv, "_treelemma_target", lambda sx, sy, wx, wy, delta, full: wx + wy)
+    # the quotient walk's visited set is shared under the rule's identity,
+    # which the patch keeps: a warm set must not hide the broken rule, and
+    # what the broken rule passed must not outlive the patch
     g = path_graph(6)
-    assert reference_all_orders(g) is False
-    assert adv.verify_treelemma_all_orders(g) is False
+    assert adv.verify_treelemma_all_orders(g) is True
+    clear_quotient_cache()
+    monkeypatch.setattr(adv, "_treelemma_target", lambda sx, sy, wx, wy, delta, full: wx + wy)
+    try:
+        assert reference_all_orders(g) is False
+        assert adv.verify_treelemma_all_orders(g) is False
+    finally:
+        clear_quotient_cache()
 
+
+def level_walk_all_orders(graph) -> bool:
+    """The packed-state level walk, which stops at the first level with a
+    violation and so never applies the rule to a broken component."""
+    adversary = adv.TreelemmaAdversary(graph)
+    return not any(
+        adv.check_treelemma_conditions(graph, view)
+        for views in adversary_levels(graph, adversary)
+        for view in views
+    )
+
+
+def test_all_orders_sorts_trees_under_a_subtle_break(monkeypatch):
+    # merging two weight-2 components into weight 4 breaks the discipline
+    # only in trees where such a pair can meet inside a proper subset; one
+    # visited set shared by every tree must not pass a tree that breaks
+    real = adv._treelemma_target
+    monkeypatch.setattr(adv, "_treelemma_target", lambda sx, sy, wx, wy, delta, full:
+                        wx + wy if wx == wy == 2 and not full else real(sx, sy, wx, wy, delta, full))
+    clear_quotient_cache()
+    try:
+        verdicts = set()
+        for n in range(2, 10):
+            for g in free_trees(n):
+                got = adv.verify_treelemma_all_orders(g)
+                assert got == level_walk_all_orders(g), g.sorted_edges
+                verdicts.add((n, got))
+        assert {(6, True), (6, False), (9, True), (9, False)} <= verdicts
+    finally:
+        clear_quotient_cache()
 
 
 # -- the walk over labelled quotient trees -----------------------------------
@@ -250,14 +290,20 @@ def test_label_walk_errors():
 
 
 def test_quotient_cache_is_shared_and_cleared():
+    empty = {"states": 0, "visited": 0, "interned": 0}
     clear_quotient_cache()
-    assert quotient_cache_info() == {"states": 0, "interned": 0}
+    assert quotient_cache_info() == empty
     g = path_graph(8)
+    h = Graph.from_edges(8, [(7 - u, 7 - v) for u, v in g.sorted_edges])  # P8 renumbered
     assert forced_queries(g, adv.TreelemmaAdversary(g)) == 7
     filled = quotient_cache_info()
-    assert filled["states"] > 0 and filled["interned"] > 0
-    h = Graph.from_edges(8, [(7 - u, 7 - v) for u, v in g.sorted_edges])  # P8 renumbered
+    assert filled["states"] > 0 and filled["interned"] > 0 and filled["visited"] == 0
     assert forced_queries(h, adv.TreelemmaAdversary(h)) == 7
     assert quotient_cache_info() == filled
+    assert adv.verify_treelemma_all_orders(g)
+    checked = quotient_cache_info()
+    assert checked["visited"] > 0 and checked["states"] == filled["states"]
+    assert adv.verify_treelemma_all_orders(h)
+    assert quotient_cache_info() == checked
     clear_quotient_cache()
-    assert quotient_cache_info() == {"states": 0, "interned": 0}
+    assert quotient_cache_info() == empty

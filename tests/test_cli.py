@@ -64,6 +64,7 @@ def test_solve_graph_json_counts_upper_bound_closings(capsys, tmp_path):
         del payload["runtime_ms"]
         runs.append(payload)
     assert runs[0]["value"] == 12 and runs[0]["closed_by_upper"] > 0
+    assert (runs[0]["exact_hits"], runs[0]["bound_hits"]) == (7220, 23893)
     assert runs[0] == runs[1]
 
 

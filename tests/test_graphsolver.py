@@ -4,7 +4,7 @@ import functools
 import random
 
 import pytest
-from oracles import atlas_graphs
+from oracles import atlas_graphs, reference_upper
 
 from majority_game.adversary import (
     AlwaysSameAdversary,
@@ -191,12 +191,13 @@ def test_carried_state_matches_the_codes():
     graphs += [random_tree(n, s) for n in (9, 12) for s in (1, 2, 3)]
     graphs += [complete_graph(n) for n in (7, 8, 15, 16)]
     assert len(graphs[2].edges) > graphs[2].n - 1 == 9  # connected, with cycles
+    # (``_expand`` is what the search calls for every node it opens)
     for g in graphs:
         solver = GraphSolver(g, canonical="generic")
-        shift, wmask, search = solver.shift, solver.wmask, solver._value
+        shift, wmask, expand = solver.shift, solver.wmask, solver._expand
         seen = {}
 
-        def checking(codes, nbrs, cnt, beta):
+        def checking(key, codes, nbrs, cnt, lb, beta):
             if codes not in seen:
                 masks = [c >> shift for c in codes]
                 weights = [c & wmask for c in codes]
@@ -204,10 +205,11 @@ def test_carried_state_matches_the_codes():
                 assert pairs == edge_scan_pairs(g, codes), (g.to_text(), codes)
                 assert cnt == sum(1 << (w * shift) for w in weights)
                 assert solver.bounds[cnt >> shift] == solve_weighted(weights), (g.to_text(), weights)
+                assert key == codes and solve_weighted(weights) <= lb < beta
                 seen[codes] = 0 in weights
-            return search(codes, nbrs, cnt, beta)
+            return expand(key, codes, nbrs, cnt, lb, beta)
 
-        solver._value = checking
+        solver._expand = checking
         for codes in reachable_codes(g, 20, rng):
             solver._search(codes, g.n)
         assert len(seen) > 20 and any(seen.values()), g.to_text()
@@ -340,6 +342,27 @@ def test_solver_reports_statistics():
     assert res.nodes_expanded > 0 and res.table_entries > 0
 
 
+def cycle_graph(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.mark.parametrize("graph,cap,counts", [
+    # value, nodes, entries, bound entries, closed, exact hits, bound hits
+    (path_graph(15), None, (12, 10828, 10415, 5735, 6, 7220, 23893)),
+    (random_tree(12, 1), None, (11, 2274, 2769, 2273, 495, 79, 5299)),
+    (path_graph(10), 50, (9, 6793, 50, 49, 3, 1, 4220)),
+    (cycle_graph(12), None, (10, 981, 978, 687, 0, 169, 1026)),
+    (random_tree(10, 1), 0, (9, 6531, 0, 0, 4, 0, 0)),  # no table, no hits
+])
+def test_solver_counters_are_pinned(graph, cap, counts):
+    # value to closed are the search's own, equal to those of the solver
+    # whose move loop called itself for every child; the hits count the
+    # children the loop now decides from the tables without a call
+    r = solve_graph(graph, table_cap=cap)
+    assert (r.value, r.nodes_expanded, r.table_entries, r.bound_entries, r.closed_by_upper,
+            r.exact_hits, r.bound_hits) == counts
+
+
 def test_best_query_tie_break_is_smallest_edge():
     g = complete_graph(4)
     solver = GraphSolver(g)
@@ -400,14 +423,16 @@ def test_atlas_matches_split_level_oracle():
 
 def test_atlas_states_lie_between_the_solver_bounds():
     # lb is the weighted value of the state's weights, ub the cost of merging
-    # along the edges while skipping zero components that connect nothing
+    # along the edges while skipping zero components that connect nothing;
+    # handed a lower bound of n, ``_expand`` closes the node at its ub
     for g in atlas_graphs(6):
         solver = GraphSolver(g)
         for state, value in reference_search(g)[1].values():
             view = GameView.from_state(state)
             nbrs, cnt = solver._carried(view)
             lb = solver.bounds[cnt >> solver.shift]
-            ub = solver._upper(view.weights, view.masks, nbrs)
+            ub = solver._expand(view.codes, view.codes, nbrs, cnt, g.n, g.n)
+            assert ub == reference_upper(g, view), (g.to_text(), state)
             assert lb <= value <= ub, (g.to_text(), state)
 
 
