@@ -4,7 +4,8 @@ whatever the search finds.
 
   * reverse pair-merge: a non-hard (a, a, rest) whose merge (2a, rest) is
     hard would refute the reverse of the forward hardness propagation;
-  * tree floor: search small odd trees for m(T) < n - 3;
+  * tree floor: search small odd trees for m(T) < n - 3; each row gives
+    the tree count, the histogram of n - m(T) and the seconds;
   * even trees: the weight-discipline adversary against every even free
     tree, any tree it holds below n - 1 listed, and its conditions checked
     in every state of every query order, any tree that breaks them listed;
@@ -55,16 +56,16 @@ def main(argv=None) -> int:
             print(f"  [{label}] counterexample: {w} is not hard but its merge {merged} is")
 
     print(f"\nodd-tree floor search (n <= {args.max_tree_n}):")
-    worst = None
     for n in range(3, args.max_tree_n + 1, 2):
+        start = time.time()
+        gaps = Counter()
         for tree in free_trees(n):
             m = solve_graph(tree).value
-            gap = n - m
-            if worst is None or gap > worst[0]:
-                worst = (gap, n, tuple(tree.sorted_edges))
+            gaps[n - m] += 1
             if m < n - 3:
                 print(f"  n={n}: m(T) = {m} < n-3 for {tree.sorted_edges}")
-        print(f"  n={n}: worst gap so far n - m = {worst[0]}")
+        histogram = ", ".join(f"{gaps[g]} with n - m = {g}" for g in sorted(gaps))
+        print(f"  n={n}: {sum(gaps.values())} trees, {histogram} ({time.time() - start:.1f}s)", flush=True)
 
     print(f"\neven trees against the weight-discipline adversary (n <= {args.max_even_n}):")
     for n in range(2, args.max_even_n + 1, 2):

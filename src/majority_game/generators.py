@@ -1,9 +1,14 @@
-"""Instance generators: named families, random instances, free trees.
+"""Instance generators: named families, random instances, free trees, and
+``tree_key``, the canonical form of labelled trees: the centre-rooted AHU
+code (Aho, Hopcroft and Ullman, *The Design and Analysis of Computer
+Algorithms*, 1974) over ints from an intern table the caller passes, so a
+key is comparable only with keys made with the same table.
 
 Free trees are enumerated by generating canonical level sequences of rooted
-trees (the Beyer-Hedetniemi successor walk) and deduplicating by a
-centroid-rooted canonical form, so every isomorphism class appears exactly
-once.  All randomized generators are deterministic for a fixed seed.
+trees (the Beyer-Hedetniemi successor walk) and deduplicating by
+``tree_key`` with one constant label, so every isomorphism class appears
+exactly once.  All randomized generators are deterministic for a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ import random
 
 from .core import Graph, InputError
 
-FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
+FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551,
+                    13: 1301, 14: 3159, 15: 7741, 16: 19320}
 
 
 def path_graph(n: int) -> Graph:
@@ -93,17 +99,6 @@ def _rooted_level_sequences(n: int):
             seq[i] = seq[i - (p - q)]
 
 
-def _graph_from_levels(levels: list[int]) -> Graph:
-    n = len(levels)
-    parent_at_level: dict[int, int] = {}
-    edges = []
-    for v, lv in enumerate(levels):
-        parent_at_level[lv] = v
-        if lv > 0:
-            edges.append((parent_at_level[lv - 1], v))
-    return Graph.from_edges(n, edges)
-
-
 def rooted_order(graph: Graph) -> tuple[list[int], list[int]]:
     """Depth-first preorder of the vertices reachable from vertex 0, and
     each vertex's parent in that search (-1 for the root and unreached
@@ -125,59 +120,78 @@ def rooted_order(graph: Graph) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def _centroids(graph: Graph) -> list[int]:
-    n = graph.n
-    if n == 1:
-        return [0]
-    adj = graph.adjacency
-    size = [1] * n
-    order, parent = rooted_order(graph)
-    for x in reversed(order):
-        if parent[x] >= 0:
-            size[parent[x]] += size[x]
-    best, cents = n, []
-    for v in range(n):
-        heaviest = n - size[v]
-        for y in adj[v]:
-            if parent[y] == v:
-                heaviest = max(heaviest, size[y])
-        if heaviest < best:
-            best, cents = heaviest, [v]
-        elif heaviest == best:
-            cents.append(v)
-    return cents
+def _rooted_code(labels, adj, root: int, blocked: int, interned: dict) -> int:
+    """The interned AHU code of the tree hanging from ``root`` away from
+    ``blocked``: a node's code is that of its label and its children's
+    codes in sorted order."""
+    parent = [-1] * len(labels)
+    parent[root] = blocked
+    order = [root]
+    for v in order:  # breadth first; the list grows as it is read
+        for u in adj[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    kids: list[list[int]] = [[] for _ in labels]
+    for v in reversed(order):
+        shape = (labels[v], tuple(sorted(kids[v])))
+        code = interned.get(shape)
+        if code is None:
+            code = interned[shape] = len(interned)
+        if v != root:
+            kids[parent[v]].append(code)
+    return code
 
 
-def _ahu_code(graph: Graph, root: int, blocked: int = -1) -> tuple:
-    adj = graph.adjacency
-    def rec(v: int, parent: int) -> tuple:
-        subs = sorted(rec(y, v) for y in adj[v] if y != parent and y != blocked)
-        return tuple(subs)
-    return rec(root, -1)
-
-
-def tree_certificate(graph: Graph) -> tuple:
-    """Canonical form of a free tree (equal iff isomorphic)."""
-    cents = _centroids(graph)
-    if len(cents) == 1:
-        return ("c", _ahu_code(graph, cents[0]))
-    a, b = cents
-    code_a = _ahu_code(graph, a, blocked=b)
-    code_b = _ahu_code(graph, b, blocked=a)
-    return ("bc",) + tuple(sorted((code_a, code_b)))
+def tree_key(labels, edges, interned: dict) -> int | tuple[int, int]:
+    """Canonical form of a labelled tree on the nodes 0..len(labels) - 1,
+    equal for two trees keyed with one ``interned`` table exactly when a
+    label-preserving isomorphism maps one onto the other: the code of the
+    tree rooted at its centre, or the sorted codes of the two halves when
+    it has two centres.  ``interned`` maps (label, sorted child codes) to
+    a code and grows with every rooted subtree not seen before."""
+    adj: list[list[int]] = [[] for _ in labels]
+    for x, y in edges:
+        adj[x].append(y)
+        adj[y].append(x)
+    degree = [len(a) for a in adj]
+    layer = [v for v, d in enumerate(degree) if d <= 1]
+    left = len(labels)
+    while left > 2:  # peel the leaves until the centre is left
+        left -= len(layer)
+        peeled = []
+        for v in layer:
+            for u in adj[v]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    peeled.append(u)
+        layer = peeled
+    if len(layer) == 1:
+        return _rooted_code(labels, adj, layer[0], -1, interned)
+    a, b = layer
+    ca, cb = _rooted_code(labels, adj, a, b, interned), _rooted_code(labels, adj, b, a, interned)
+    return (ca, cb) if ca <= cb else (cb, ca)
 
 
 def free_trees(n: int):
-    """Yield one representative per isomorphism class of trees on n vertices."""
+    """Yield one representative per isomorphism class of trees on n vertices:
+    the first level sequence of each class, in the walk's order."""
     if n < 1:
         raise InputError(f"free trees need n >= 1, got {n}")
+    labels = (0,) * n
+    interned: dict = {}  # a fresh table: no other caller can renumber its codes
     seen = set()
     for levels in _rooted_level_sequences(n):
-        g = _graph_from_levels(levels)
-        cert = tree_certificate(g)
-        if cert not in seen:
-            seen.add(cert)
-            yield g
+        last = [0] * n  # last[d]: the latest vertex at depth d, the parent of the next at d + 1
+        edges = []
+        for v, d in enumerate(levels):
+            if d:
+                edges.append((last[d - 1], v))
+            last[d] = v
+        key = tree_key(labels, edges, interned)
+        if key not in seen:
+            seen.add(key)
+            yield Graph.from_edges(n, edges)
 
 
 def generate(kind: str, n: int, seed: int = 0, p: float = 0.5):

@@ -87,15 +87,15 @@ adversary may opt in to a label protocol (see ``adversary``): a
 components' union from theirs alone.  On a tree every component is a
 subtree, so a state is a quotient tree with a label on each node, and the
 adversary's answers depend on nothing else.  The walk then recurses over
-quotient trees, contracting one edge per query, and keys its memo by a
-canonical form: the AHU code of the tree rooted at its centre, in which a
-node's code is an int interned for its label and its children's codes.
-The memo is kept per merge rule and shared by every tree, since trees of
-one size reach many of the same quotients.  ``all_orders_hold`` walks the
-same quotient trees, past terminal ones, and checks a predicate on the
-label of every proper node, only the merged node's label after each
-contraction; the keys of the trees from which everything reachable passed
-form a visited set kept per merge rule and predicate, shared the same way.
+quotient trees, contracting one edge per query, and keys its memo by the
+canonical form of a labelled tree, ``generators.tree_key``, over one
+intern table kept here.  The memo is kept per merge rule and shared by
+every tree, since trees of one size reach many of the same quotients.
+``all_orders_hold`` walks the same quotient trees, past terminal ones, and
+checks a predicate on the label of every proper node, only the merged
+node's label after each contraction; the keys of the trees from which
+everything reachable passed form a visited set kept per merge rule and
+predicate, shared the same way.
 ``quotient_cache_info`` and ``clear_quotient_cache`` read and empty both.
 Any other graph or adversary takes the level walk over packed states.
 """
@@ -122,7 +122,7 @@ from .core import (
     normalize_edge,
     terminal_outcome,
 )
-from .generators import is_path_in_order, is_tree
+from .generators import is_path_in_order, is_tree, tree_key
 
 MAX_SOLVER_N = 128  # the minimax is out of reach far below this
 
@@ -584,8 +584,11 @@ def forced_queries(graph: Graph, adversary) -> int:
     """
     check_solvable(graph)
     if hasattr(adversary, "merge_labels") and is_tree(graph):
+        labels = _root_labels(graph, adversary)
+        if _terminal_labels(labels):
+            return 0
         memo = _quotient_memo.setdefault(adversary.merge_labels, {})
-        return _quotient_value(adversary.merge_labels, memo, _root_labels(graph, adversary), graph.sorted_edges)
+        return _quotient_value(adversary.merge_labels, memo, labels, graph.sorted_edges)
     wmask = (1 << graph.n.bit_length()) - 1
     # the walk ends in states with no cross edge, which a solvable graph
     # makes terminal, so some level holds one
@@ -604,7 +607,8 @@ _quotient_memo: dict = {}
 # (merge rule, label check) -> canonical keys of the trees from which every
 # reachable tree passed the check; shared the same way
 _visited: dict = {}
-# (label, sorted child codes) -> code: the rooted subtrees seen so far
+# ``tree_key``'s intern table for both walks: (label, sorted child codes)
+# -> code, the rooted subtrees seen so far
 _interned: dict = {}
 
 
@@ -661,57 +665,6 @@ def _terminal_labels(labels) -> bool:
     return total == 0 or 2 * max(label[0] for label in labels) > total
 
 
-def _rooted_code(labels, adj, root: int, blocked: int) -> int:
-    """The interned AHU code of the tree hanging from ``root`` away from
-    ``blocked``: a node's code is that of its label and its children's
-    codes in sorted order."""
-    parent = [-1] * len(labels)
-    parent[root] = blocked
-    order = [root]
-    for v in order:  # breadth first; the list grows as it is read
-        for u in adj[v]:
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
-    kids: list[list[int]] = [[] for _ in labels]
-    for v in reversed(order):
-        shape = (labels[v], tuple(sorted(kids[v])))
-        code = _interned.get(shape)
-        if code is None:
-            code = _interned[shape] = len(_interned)
-        if v != root:
-            kids[parent[v]].append(code)
-    return code
-
-
-def _quotient_key(labels, edges) -> int | tuple[int, int]:
-    """Canonical form of a labelled tree, equal for two trees exactly when
-    a label-preserving isomorphism maps one onto the other: the code of
-    the tree rooted at its centre, or the sorted codes of the two halves
-    when it has two centres."""
-    adj: list[list[int]] = [[] for _ in labels]
-    for x, y in edges:
-        adj[x].append(y)
-        adj[y].append(x)
-    degree = [len(a) for a in adj]
-    layer = [v for v, d in enumerate(degree) if d <= 1]
-    left = len(labels)
-    while left > 2:  # peel the leaves until the centre is left
-        left -= len(layer)
-        peeled = []
-        for v in layer:
-            for u in adj[v]:
-                degree[u] -= 1
-                if degree[u] == 1:
-                    peeled.append(u)
-        layer = peeled
-    if len(layer) == 1:
-        return _rooted_code(labels, adj, layer[0], -1)
-    a, b = layer
-    ca, cb = _rooted_code(labels, adj, a, b), _rooted_code(labels, adj, b, a)
-    return (ca, cb) if ca <= cb else (cb, ca)
-
-
 def _contract(labels, edges, e: int, label):
     """The quotient tree after edge ``e`` contracts into one node with
     ``label``: it takes the place of the edge's lower end, and the nodes
@@ -731,13 +684,12 @@ def _contract(labels, edges, e: int, label):
 
 
 def _quotient_value(rule, memo: dict, labels, edges) -> int:
-    """Fewest queries to a terminal state from a labelled quotient tree when
-    ``rule`` answers each query: 0 at a terminal tree, else 1 + the fewest
-    over the contractions of one edge.  ``memo`` holds the values of the
-    non-terminal trees met so far under their ``_quotient_key``."""
-    if _terminal_labels(labels):
-        return 0
-    key = _quotient_key(labels, edges)
+    """Fewest queries to a terminal state from a non-terminal labelled
+    quotient tree when ``rule`` answers each query: 1 + the fewest over the
+    contractions of one edge, where a terminal contraction counts 0.
+    ``memo`` holds the values of the trees met so far under their
+    ``tree_key``."""
+    key = tree_key(labels, edges, _interned)
     value = memo.get(key)
     if value is None:
         full = len(labels) == 2  # the last query merges the whole graph
@@ -760,7 +712,7 @@ def _quotient_states_hold(rule, holds, seen: set, labels, edges) -> bool:
     label, given that its own labels pass.  Only the merged node's label is
     new in a contraction, so only it is checked; ``seen`` holds the keys of
     the trees already found to pass."""
-    key = _quotient_key(labels, edges)
+    key = tree_key(labels, edges, _interned)
     if key in seen:
         return True
     full = len(labels) == 2  # the last query merges the whole graph

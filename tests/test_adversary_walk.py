@@ -17,10 +17,10 @@ from majority_game.generators import (
     random_graph,
     random_tree,
     star_graph,
+    tree_key,
 )
 from majority_game.graphsolver import (
     GameView,
-    _quotient_key,
     _terminal,
     adversary_levels,
     adversary_successors,
@@ -252,9 +252,9 @@ def labelled_trees():
 
 
 def test_quotient_key_matches_the_brute_force_form():
-    forms_by_key, keys_by_form = {}, {}
+    forms_by_key, keys_by_form, interned = {}, {}, {}  # keys compare only within one intern table
     for labels, edges in labelled_trees():
-        key, form = _quotient_key(labels, edges), brute_canonical_form(labels, edges)
+        key, form = tree_key(labels, edges, interned), brute_canonical_form(labels, edges)
         forms_by_key.setdefault(key, set()).add(form)
         keys_by_form.setdefault(form, set()).add(key)
     assert all(len(forms) == 1 for forms in forms_by_key.values())

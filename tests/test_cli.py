@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 
@@ -324,6 +325,14 @@ def test_generate_free_trees_stream(capsys):
     assert code == 0
     blocks = [b for b in out.split("\n\n") if b.strip()]
     assert len(blocks) == 3
+
+
+def test_generate_free_trees_order_is_pinned(capsys):
+    """The digest pins both the 551 trees on 12 vertices and their order:
+    each class's first level sequence, in the successor walk's order."""
+    code, out = run_cli(capsys, ["generate", "free-trees", "12"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "a5f575d6c49f9f1b91e6177d01966e61b0483e261ee7829cb0b3db59d039bbf8"
 
 
 def test_play_repl(capsys, monkeypatch, tmp_path):

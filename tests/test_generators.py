@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from majority_game.adversary import TreelemmaAdversary
 from majority_game.core import Graph
 from majority_game.generators import (
     FREE_TREE_COUNTS,
@@ -15,9 +16,10 @@ from majority_game.generators import (
     random_graph,
     random_tree,
     star_graph,
-    tree_certificate,
     tree_from_pruefer,
+    tree_key,
 )
+from majority_game.graphsolver import clear_quotient_cache, forced_queries, quotient_cache_info
 
 
 def test_named_families():
@@ -29,12 +31,18 @@ def test_named_families():
     assert len(k.edges) == 6
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+def certificate(graph, interned):
+    """The tree's ``tree_key`` with one constant label."""
+    return tree_key((0,) * graph.n, graph.sorted_edges, interned)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
 def test_free_tree_counts(n):
     trees = list(free_trees(n))
     assert len(trees) == FREE_TREE_COUNTS[n]
     assert all(is_tree(g) for g in trees)
-    certs = {tree_certificate(g) for g in trees}
+    interned = {}
+    certs = {certificate(g, interned) for g in trees}
     assert len(certs) == len(trees)
 
 
@@ -48,9 +56,26 @@ def test_free_trees_against_pruefer_enumeration(n):
             tree_from_pruefer(list(seq), n)
             for seq in itertools.product(range(n), repeat=n - 2)
         ]
-    oracle_certs = {tree_certificate(g) for g in labeled}
+    interned = {}
+    oracle_certs = {certificate(g, interned) for g in labeled}
     assert len(oracle_certs) == FREE_TREE_COUNTS[n]
-    assert {tree_certificate(g) for g in free_trees(n)} == oracle_certs
+    assert {certificate(g, interned) for g in free_trees(n)} == oracle_certs
+
+
+def test_free_trees_do_not_share_the_walks_intern_table():
+    """Clearing the forced-query walks' cache between yields, and refilling
+    it, leaves the enumeration as it is; a bare enumeration leaves the
+    cache as it is."""
+    clean = list(free_trees(9))
+    walked = []
+    for g in free_trees(9):
+        walked.append(g)
+        clear_quotient_cache()
+        forced_queries(path_graph(6), TreelemmaAdversary(path_graph(6)))
+    assert walked == clean
+    before = quotient_cache_info()
+    assert list(free_trees(9)) == clean
+    assert quotient_cache_info() == before
 
 
 def test_random_tree_is_deterministic_and_a_tree():
@@ -71,4 +96,5 @@ def test_tree_certificate_invariant_under_relabeling():
     g = random_tree(9, seed=2)
     perm = [3, 1, 4, 0, 8, 7, 2, 6, 5]
     relabeled = Graph.from_edges(9, [(perm[u], perm[v]) for u, v in g.edges])
-    assert tree_certificate(g) == tree_certificate(relabeled)
+    interned = {}
+    assert certificate(g, interned) == certificate(relabeled, interned)

@@ -43,7 +43,12 @@ def test_search_open_questions_smoke(capsys):
     assert rows == ["  n=3: 1 with m_nd = 1",
                     "  n=5: 2 with m_nd = 2, 1 with m_nd = 3",
                     "  n=7: 11 with m_nd = 4"]
-    assert "n=7: worst gap so far n - m = 3" in out
+    section = out.split("odd-tree floor search (n <= 7):\n")[1]
+    rows, stats = zip(*(line.split(" (") for line in section.splitlines()[:3]))
+    assert all(re.fullmatch(r"\d+\.\ds\)", s) for s in stats), stats
+    assert list(rows) == ["  n=3: 1 trees, 1 with n - m = 2",
+                          "  n=5: 3 trees, 3 with n - m = 2",
+                          "  n=7: 11 trees, 7 with n - m = 2, 4 with n - m = 3"]
     section = out.split("even trees against the weight-discipline adversary (n <= 8):\n")[1]
     rows, stats = zip(*(line.split(" (") for line in section.splitlines()[:4]))
     assert list(rows) == [f"  n={n}: {count} trees, none below n - 1, all orders hold"
