@@ -19,7 +19,7 @@ whatever the search finds.
   * verification complexity: the histogram of m_nd(T) over odd free trees,
     by the tree DP's minimum certificates.
 
-Usage: python3 scripts/search_open_questions.py [--max-tree-n 11] [--max-total 12]
+Usage: python3 scripts/search_open_questions.py [--max-tree-n 11] [--max-total 34]
            [--max-even-n 12] [--max-mnd-n 9] [--max-verify-n 16]
 """
 
@@ -39,7 +39,7 @@ from majority_game.nondet import m_nd
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-tree-n", type=int, default=11)
-    parser.add_argument("--max-total", type=int, default=12)
+    parser.add_argument("--max-total", type=int, default=34)
     parser.add_argument("--max-even-n", type=int, default=12)
     parser.add_argument("--max-mnd-n", type=int, default=9)
     parser.add_argument("--max-verify-n", type=int, default=16)

@@ -15,10 +15,12 @@ is the whole graph.  The label must be closed under merges:
 ``component_label(mask_a | mask_b, w)`` equals ``merge_labels(a, b, full)``
 when w is the weight ``choose_merge`` picks, and ``choose_merge`` returns
 ``merge_labels(...)[0]``.  Then the adversary's play on a tree depends only
-on the labelled quotient tree, and ``graphsolver.forced_queries`` walks
-quotient trees, with one memo per merge rule shared by every tree;
-``verify_treelemma_all_orders`` checks the discipline's conditions on the
-labels of the same quotient trees through ``graphsolver.all_orders_hold``.
+on the labelled quotient tree.  ``graphsolver`` picks the walk for both
+fixed-adversary jobs, ``forced_queries`` and ``all_orders_hold``: labelled
+quotient trees on a tree, with one memo per merge rule shared by every
+tree, and the levels of packed states elsewhere.
+``verify_treelemma_all_orders`` is ``all_orders_hold`` with the
+discipline written as one predicate on a component's label.
 ``TreelemmaAdversary`` opts in; the colouring, covering and exact-minimax
 adversaries read masks or the whole weight multiset, and do not.
 
@@ -36,21 +38,17 @@ import random
 from dataclasses import dataclass
 
 from . import weighted
-from .core import BLUE, RED, GameError, Graph, InputError, QueryState, parse_coloring
+from .core import BLUE, RED, GameError, Graph, InputError, QueryState, merge_weights, parse_coloring
 from .generators import is_path_in_order, is_tree, rooted_order
-from .graphsolver import Game, GameView, adversary_levels, all_orders_hold
+from .graphsolver import Game, GameView, all_orders_hold
 
 
 class AdversaryInvariantError(GameError):
     pass
 
 
-def _merge_candidates(wx: int, wy: int) -> tuple[int, int]:
-    return wx + wy, abs(wx - wy)
-
-
 def _require_candidate(target: int, wx: int, wy: int) -> int:
-    if target not in _merge_candidates(wx, wy):
+    if target not in merge_weights(wx, wy):
         raise AdversaryInvariantError(
             f"no answer realizes merged weight {target} from ({wx}, {wy})"
         )
@@ -178,10 +176,8 @@ def _treelemma_target(sx: int, sy: int, wx: int, wy: int, delta_union: int, full
         target = 2 * delta_union
     if full:
         # no proper-subset condition applies; do not gift a terminal state
-        for cand in (target, *(w for w in _merge_candidates(wx, wy) if w != target)):
-            if cand in _merge_candidates(wx, wy) and cand != 0:
-                return cand
-        return target
+        candidates = merge_weights(wx, wy)
+        return next((w for w in (target, *candidates) if w in candidates and w != 0), target)
     return _require_candidate(target, wx, wy)
 
 
@@ -220,33 +216,12 @@ class TreelemmaAdversary:
         )[0]
 
 
-def _label_violations(label: tuple[int, int, int]) -> list[str]:
-    """The weight-discipline conditions a proper component's tree-lemma
-    label breaks."""
-    w, odd, delta = label
-    out = []
-    if not 0 <= w <= 2:
-        out.append(f"weight {w} outside [0, 2]")
-    if odd and w != 1:
-        out.append(f"odd size but weight {w}")
-    if not odd and w != 2 * delta:
-        out.append(f"even size, weight {w} != 2*delta")
-    return out
-
-
 def _meets_discipline(label: tuple[int, int, int]) -> bool:
-    return not _label_violations(label)
-
-
-def check_treelemma_conditions(graph: Graph, view: GameView) -> list[str]:
-    """Violations of the weight-discipline conditions on proper components."""
-    adversary = TreelemmaAdversary(graph)
-    return [
-        f"component {i} (size {view.size(i)}): {msg}"
-        for i, (mask, w) in enumerate(zip(view.masks, view.weights))
-        if mask != adversary.full_mask
-        for msg in _label_violations(adversary.component_label(mask, w))
-    ]
+    """The weight discipline on a proper component's tree-lemma label:
+    weight 1 on an odd size, 2 * (boundary-edge parity) on an even one, so
+    never outside [0, 2]."""
+    w, odd, delta = label
+    return w == (1 if odd else 2 * delta)
 
 
 def centroid_decomposition(tree: Graph, p: int) -> frozenset[int]:
@@ -367,7 +342,7 @@ class OddpathAdversary(_CoveringAdversary):
         u, v = edge
         i, j = view.comp_of(u), view.comp_of(v)
         wi, wj = view.weights[i], view.weights[j]
-        s, d = _merge_candidates(wi, wj)
+        s, d = merge_weights(wi, wj)
         if not ((view.masks[i] | view.masks[j]) & self.cover_mask):
             return s if s <= 1 else d
         legal = [w for w in (d, s) if w >= 1]
@@ -474,7 +449,7 @@ class Lefogo2Adversary(_CoveringAdversary):
                     _boundary_parity(union, part.odd_degree_mask),
                     False,  # the augmented pendant keeps every subset proper
                 )
-        s, d = _merge_candidates(wi, wj)
+        s, d = merge_weights(wi, wj)
         return s if s <= 2 else d
 
 
@@ -561,17 +536,9 @@ def verify_treelemma_all_orders(graph: Graph) -> bool:
     adversary and check its conditions in every reached state.
 
     The walk goes on past terminal states, whose proper components the
-    conditions still cover.  On a tree it is ``graphsolver.all_orders_hold``
-    over labelled quotient trees, which checks each of them once per
-    process (until ``clear_quotient_cache()``) and only the label a merge
-    makes; on any other graph each distinct packed state is checked once,
-    on its level of ``adversary_levels``.
+    conditions still cover.  ``graphsolver.all_orders_hold`` picks the
+    walk: labelled quotient trees on a tree, each checked once per process
+    (until ``clear_quotient_cache()``), and packed states level by level on
+    any other graph.
     """
-    adversary = TreelemmaAdversary(graph)
-    if is_tree(graph):
-        return all_orders_hold(graph, adversary, _meets_discipline)
-    return not any(
-        check_treelemma_conditions(graph, view)
-        for views in adversary_levels(graph, adversary)
-        for view in views
-    )
+    return all_orders_hold(graph, TreelemmaAdversary(graph), _meets_discipline)

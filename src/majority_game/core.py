@@ -10,6 +10,10 @@ popcounts.  A state lists its components by lowest vertex and maps each
 vertex to its component's index, so finding a vertex's component is one
 lookup and finding its side is one bit test.  All types here are immutable
 values and all operations are pure functions.
+
+``settled`` and ``merge_weights`` write two rules of the game on weights
+once for every layer: when a position is over, and the sum and the
+difference a query can leave (the weighted game of Saks and Werman).
 """
 
 from __future__ import annotations
@@ -284,6 +288,19 @@ def component_weights(state: QueryState) -> tuple[int, ...]:
     return tuple(sorted((c.weight for c in state.components), reverse=True))
 
 
+def settled(weights) -> bool:
+    """Whether a position with these component weights is over: every
+    component is balanced, or one outweighs all the others together."""
+    total = sum(weights)
+    return total == 0 or 2 * max(weights) > total
+
+
+def merge_weights(a: int, b: int) -> tuple[int, int]:
+    """The weights a query can leave from components of weights a and b:
+    the sum and the difference."""
+    return a + b, abs(a - b)
+
+
 def terminal_outcome(state: QueryState) -> Outcome | None:
     """The game's outcome if it is decided, else None.
 
@@ -291,19 +308,14 @@ def terminal_outcome(state: QueryState) -> Outcome | None:
     iff one component outweighs all others combined, in which case any
     vertex of its heavy side works (we return the smallest).
     """
-    total = top = 0
-    heavy = None
-    for c in state.components:
-        a, b = c.mask_a.bit_count(), c.mask_b.bit_count()
-        w = abs(a - b)
-        total += w
-        if w > top:
-            top, heavy = w, (c.mask_a if a > b else c.mask_b)
-    if total == 0:
+    weights = [c.weight for c in state.components]
+    if not settled(weights):
+        return None
+    if not any(weights):
         return Outcome.no_majority()
-    if 2 * top > total:
-        return Outcome.majority_vertex((heavy & -heavy).bit_length() - 1)
-    return None
+    c = state.components[weights.index(max(weights))]
+    heavy = c.mask_a if c.mask_a.bit_count() > c.mask_b.bit_count() else c.mask_b
+    return Outcome.majority_vertex((heavy & -heavy).bit_length() - 1)
 
 
 def coloring_outcome(coloring: str) -> Outcome:

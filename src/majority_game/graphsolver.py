@@ -80,24 +80,27 @@ returns the first edge whose both answers leave a state below V, each
 searched with the cutoff V.  That is the smallest edge across an optimal
 pair, and no pair after it is searched.
 
-``forced_queries`` counts the queries a fixed adversary forces.  An
-adversary may opt in to a label protocol (see ``adversary``): a
-``component_label(mask, weight)`` whose first entry is the weight, and a
-``merge_labels(a, b, full)`` that gives the label of two adjacent
-components' union from theirs alone.  On a tree every component is a
-subtree, so a state is a quotient tree with a label on each node, and the
-adversary's answers depend on nothing else.  The walk then recurses over
-quotient trees, contracting one edge per query, and keys its memo by the
-canonical form of a labelled tree, ``generators.tree_key``, over one
-intern table kept here.  The memo is kept per merge rule and shared by
-every tree, since trees of one size reach many of the same quotients.
-``all_orders_hold`` walks the same quotient trees, past terminal ones, and
-checks a predicate on the label of every proper node, only the merged
-node's label after each contraction; the keys of the trees from which
-everything reachable passed form a visited set kept per merge rule and
-predicate, shared the same way.
-``quotient_cache_info`` and ``clear_quotient_cache`` read and empty both.
-Any other graph or adversary takes the level walk over packed states.
+``forced_queries`` counts the queries a fixed adversary forces, and
+``all_orders_hold`` checks a predicate on the label of every proper
+component in every state some query order reaches.  Both pick their walk
+here: labelled quotient trees on a tree, the levels of
+``adversary_levels`` elsewhere.  An adversary may opt in to a label
+protocol (see ``adversary``): a ``component_label(mask, weight)`` whose
+first entry is the weight, and a ``merge_labels(a, b, full)`` that gives
+the label of two adjacent components' union from theirs alone.  On a tree
+every component is a subtree, so a state is a quotient tree with a label
+on each node, and the adversary's answers depend on nothing else.  The
+walks recurse over quotient trees, contracting one edge per query, and
+key their memos by ``generators.tree_key`` over one intern table kept
+here.  The forced-query memo is kept per merge rule and shared by every
+tree; one call also keeps its values under the exact (labels, edges)
+tuple, which two query orders reaching one partition share, so it keys
+such a tree once.  ``all_orders_hold`` checks only the merged node's label
+after each contraction, past terminal trees; the keys of the trees from
+which everything reachable passed form a visited set kept per merge rule
+and predicate, shared the same way.  ``quotient_cache_info`` and
+``clear_quotient_cache`` read and empty both.  Any other graph, or an
+adversary without the protocol, takes the levels.
 """
 
 from __future__ import annotations
@@ -119,7 +122,9 @@ from .core import (
     UnsolvableGraphError,
     apply_query,
     initial_state,
+    merge_weights,
     normalize_edge,
+    settled,
     terminal_outcome,
 )
 from .generators import is_path_in_order, is_tree, tree_key
@@ -197,13 +202,7 @@ def _vertex_comp(n: int, codes) -> list[int]:
 
 
 def _terminal(codes, wmask: int) -> bool:
-    total = wmax = 0
-    for c in codes:
-        w = c & wmask
-        total += w
-        if w > wmax:
-            wmax = w
-    return total == 0 or wmax > total - wmax
+    return settled([c & wmask for c in codes])
 
 
 def _merge_codes(codes, i: int, j: int, w: int, shift: int) -> tuple[int, ...]:
@@ -464,7 +463,7 @@ class GraphSolver:
             rest = cnt - units[wi] - units[wj]
             if all(
                 self._value(_merge_codes(codes, i, j, w, self.shift), child_nbrs, rest + units[w], value) < value
-                for w in (wi + wj, abs(wi - wj))
+                for w in merge_weights(wi, wj)
             ):
                 return (u, v)
         raise StrategyError("no query meets the state's value")
@@ -542,6 +541,13 @@ def play(graph: Graph, querier, adversary) -> Transcript:
     return game.transcript()
 
 
+def _require_merge(target: int, a: int, b: int) -> int:
+    """``target``, if a query can leave it from weights a and b."""
+    if target not in merge_weights(a, b):
+        raise StrategyError(f"merge weight {target} unreachable from weights ({a}, {b})")
+    return target
+
+
 def adversary_successors(view: GameView, adversary) -> list[tuple[int, ...]]:
     """The packed state after each cross-component edge of the view's
     graph, answered by the adversary."""
@@ -551,9 +557,7 @@ def adversary_successors(view: GameView, adversary) -> list[tuple[int, ...]]:
     for u, v in view.graph.sorted_edges:
         a, b = vc[u], vc[v]
         if a != b:
-            target = adversary.choose_merge(view, (u, v))
-            if target != ws[a] + ws[b] and target != abs(ws[a] - ws[b]):
-                raise StrategyError(f"merge weight {target} unreachable for query {(u, v)}")
+            target = _require_merge(adversary.choose_merge(view, (u, v)), ws[a], ws[b])
             out.append(_merge_codes(codes, a, b, target, shift))
     return out
 
@@ -569,26 +573,30 @@ def adversary_levels(graph: Graph, adversary) -> Iterator[list[GameView]]:
         level = {succ for view in views for succ in adversary_successors(view, adversary)}
 
 
+def _walks_quotients(graph: Graph, adversary) -> bool:
+    """Whether the fixed-adversary walks take labelled quotient trees."""
+    return hasattr(adversary, "merge_labels") and is_tree(graph)
+
+
 def forced_queries(graph: Graph, adversary) -> int:
     """Fewest queries any querier needs against the fixed adversary.
 
-    On a tree, against an adversary with the label protocol (see the
-    module docstring), this is a memoized recursion over labelled quotient
-    trees, ``_quotient_value``.  Otherwise it is the first level of
-    ``adversary_levels`` that holds a terminal state.  A terminal state
-    reached only through an earlier one lies on a later level, so walking
-    past terminals cannot lower the answer.
+    On labelled quotient trees (see the module docstring) this is a
+    memoized recursion, ``_quotient_value``.  Otherwise it is the first
+    level of ``adversary_levels`` that holds a terminal state.  A terminal
+    state reached only through an earlier one lies on a later level, so
+    walking past terminals cannot lower the answer.
 
     Walking packed states is sound because every adversary here answers
     as a function of the component partition and weights alone.
     """
     check_solvable(graph)
-    if hasattr(adversary, "merge_labels") and is_tree(graph):
+    if _walks_quotients(graph, adversary):
         labels = _root_labels(graph, adversary)
         if _terminal_labels(labels):
             return 0
         memo = _quotient_memo.setdefault(adversary.merge_labels, {})
-        return _quotient_value(adversary.merge_labels, memo, labels, graph.sorted_edges)
+        return _quotient_value(adversary.merge_labels, memo, {}, labels, graph.sorted_edges)
     wmask = (1 << graph.n.bit_length()) - 1
     # the walk ends in states with no cross edge, which a solvable graph
     # makes terminal, so some level holds one
@@ -632,12 +640,20 @@ def clear_quotient_cache() -> None:
 
 
 def all_orders_hold(graph: Graph, adversary, holds) -> bool:
-    """Whether ``holds(label)`` is true of every proper component in every
-    state that some query order reaches against ``adversary``, terminal
-    states walked past, on a tree and with the label protocol.  Each
-    labelled quotient tree is checked once per merge rule and check."""
-    if not is_tree(graph):
-        raise InputError("the labelled quotient walk needs a tree")
+    """Whether ``holds`` is true of the ``component_label`` of every proper
+    component in every state that some query order reaches against
+    ``adversary``, terminal states walked past.  A labelled quotient tree
+    is checked once per merge rule and check; the levels stop at the first
+    failure, so the adversary never answers from a broken state."""
+    if not _walks_quotients(graph, adversary):
+        full = (1 << graph.n) - 1
+        return all(
+            holds(adversary.component_label(mask, w))
+            for views in adversary_levels(graph, adversary)
+            for view in views
+            for mask, w in zip(view.masks, view.weights)
+            if mask != full
+        )
     labels = _root_labels(graph, adversary)
     if len(labels) < 2:  # the one component is the whole graph
         return True
@@ -655,14 +671,12 @@ def _merged_label(rule, a, b, full: bool):
     """``rule``'s label for the union of two adjacent nodes, whose weight
     must be the sum or the difference of theirs."""
     merged = rule(a, b, full)
-    if merged[0] != a[0] + b[0] and merged[0] != abs(a[0] - b[0]):
-        raise StrategyError(f"merge weight {merged[0]} unreachable from weights ({a[0]}, {b[0]})")
+    _require_merge(merged[0], a[0], b[0])
     return merged
 
 
 def _terminal_labels(labels) -> bool:
-    total = sum(label[0] for label in labels)
-    return total == 0 or 2 * max(label[0] for label in labels) > total
+    return settled([label[0] for label in labels])
 
 
 def _contract(labels, edges, e: int, label):
@@ -683,12 +697,16 @@ def _contract(labels, edges, e: int, label):
     return tuple(child_labels), child_edges
 
 
-def _quotient_value(rule, memo: dict, labels, edges) -> int:
+def _quotient_value(rule, memo: dict, met: dict, labels, edges) -> int:
     """Fewest queries to a terminal state from a non-terminal labelled
     quotient tree when ``rule`` answers each query: 1 + the fewest over the
     contractions of one edge, where a terminal contraction counts 0.
     ``memo`` holds the values of the trees met so far under their
-    ``tree_key``."""
+    ``tree_key``, and ``met`` those of this walk under the exact
+    (labels, edges) tuple, which spares the key of a tree met again."""
+    value = met.get((labels, edges))
+    if value is not None:
+        return value
     key = tree_key(labels, edges, _interned)
     value = memo.get(key)
     if value is None:
@@ -701,8 +719,9 @@ def _quotient_value(rule, memo: dict, labels, edges) -> int:
                 break
             children.append(child)
         else:
-            value = 1 + min(_quotient_value(rule, memo, *child) for child in children)
+            value = 1 + min(_quotient_value(rule, memo, met, *child) for child in children)
         memo[key] = value
+    met[labels, edges] = value
     return value
 
 

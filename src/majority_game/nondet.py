@@ -30,6 +30,7 @@ from .core import (
     RED,
     coloring_outcome,
     parse_coloring,
+    settled,
 )
 from .generators import is_tree, path_graph, rooted_order
 from .graphsolver import check_solvable
@@ -80,14 +81,6 @@ def _merge(signs: list[int], query_set) -> tuple[list[int], list[int]]:
     return parent, sums
 
 
-def _settled(sums: list[int]) -> bool:
-    """A state is terminal iff every component is balanced or one outweighs
-    all the others together."""
-    weights = list(map(abs, sums))
-    total = sum(weights)
-    return total == 0 or 2 * max(weights) > total
-
-
 def _signs(coloring: str) -> list[int]:
     return [1 if ch == RED else -1 for ch in coloring]
 
@@ -101,9 +94,9 @@ def induced_outcome(graph: Graph, coloring: str, query_set) -> Outcome | None:
 def _outcome(coloring: str, query_set) -> Outcome | None:
     """`induced_outcome` on the graph whose vertices are the coloring's."""
     parent, sums = _merge(_signs(coloring), query_set)
-    if not _settled(sums):
-        return None
     weights = list(map(abs, sums))
+    if not settled(weights):
+        return None
     top = max(weights)
     if top == 0:
         return Outcome.no_majority()
@@ -139,7 +132,7 @@ def cert(graph: Graph, coloring: str) -> CertReport:
     best = None
     for size in range(graph.n - len(graph.components()), -1, -1):
         subset = next((qs for qs in itertools.combinations(edges, size)
-                       if _settled(_merge(signs, qs)[1])), None)
+                       if settled(list(map(abs, _merge(signs, qs)[1])))), None)
         if subset is None:
             break
         best = subset

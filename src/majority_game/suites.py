@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import adversary as adv
 from . import bounds, constructions, generators, nondet, weighted
 from .bounds import CertificateSource, popcount
-from .core import Graph
+from .core import Graph, merge_weights
 from .graphsolver import forced_queries, solve_graph
 
 
@@ -257,7 +257,7 @@ def criterion_6() -> list[CheckRecord]:
                 min_out = min((w[x] for x in outside), default=None)
                 survived = False
                 dropped_ok = False
-                for merged in (w[i] + w[j], abs(w[i] - w[j])):
+                for merged in merge_weights(w[i], w[j]):
                     succ = tuple(w[t] for t in range(len(w)) if t not in (i, j)) + (merged,)
                     succ_rel = weighted.relevant_indices(succ)
                     if checked_survival:

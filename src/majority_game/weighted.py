@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from operator import neg
 
-from .core import InputError
+from .core import InputError, merge_weights, settled
 
 WeightVector = tuple[int, ...]
 
@@ -65,13 +65,11 @@ class WeightedOutcome:
 def weighted_terminal(w) -> WeightedOutcome | None:
     """Terminal classification: all zeros, or one dominant ball, else None."""
     w = tuple(w)
-    total = sum(w)
-    if total == 0:
+    if not settled(w):
+        return None
+    if not any(w):
         return WeightedOutcome(None)
-    i = max(range(len(w)), key=w.__getitem__)
-    if w[i] > total - w[i]:
-        return WeightedOutcome(i)
-    return None
+    return WeightedOutcome(max(range(len(w)), key=w.__getitem__))
 
 
 def _merged(w: WeightVector, i: int, j: int, x: int) -> WeightVector:
@@ -126,7 +124,7 @@ def _solve(w: WeightVector) -> int:
     cached = memo.get(w)
     if cached is not None:
         return cached
-    if not w or 2 * w[0] > sum(w):  # the terminal test of weighted_terminal
+    if not w or 2 * w[0] > sum(w):  # core.settled: a sorted vector's head is its max
         memo[w] = 0
         return 0
     best = hard_level(w)
@@ -184,10 +182,10 @@ def adversarial_merge_weight(w, a: int, b: int) -> int:
     w = normalize(w)
     i = w.index(a)
     i, j = sorted((i, w.index(b, i + 1) if b == a else w.index(b)))
-    plus, minus = (strip_zeros(_merged(w, i, j, x)) for x in (a + b, abs(a - b)))
-    if _solve(minus) > _solve(plus):
-        return abs(a - b)
-    return a + b
+    plus, minus = merge_weights(a, b)
+    if _solve(strip_zeros(_merged(w, i, j, minus))) > _solve(strip_zeros(_merged(w, i, j, plus))):
+        return minus
+    return plus
 
 
 def signed_sum_counts(weights) -> dict[int, int]:

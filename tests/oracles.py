@@ -16,7 +16,10 @@ and the atlas inputs that several differential tests share.
 * the canonical form of a labelled graph as the least relabelling over
   every vertex permutation;
 * the graph solver's strategy upper bound, its zero components found from
-  the graph's edges.
+  the graph's edges;
+* the tree lemma's weight discipline on a state, each component's boundary
+  edges counted one by one;
+* the end of the game read off every sign vector of the weights.
 """
 
 import functools
@@ -112,6 +115,34 @@ def reference_upper(graph: Graph, view: GameView) -> int:
             joined[b].add(a)
     z = sum(1 for w, others in zip(view.weights, joined) if not w and len(others) <= 1)
     return k - 1 - (graph.n & 1) - z
+
+
+def discipline_holds(graph: Graph, view: GameView) -> bool:
+    """The tree lemma's weight discipline on every proper component of a
+    state: weight 1 on an odd size, and on an even size 2 * the parity of
+    the number of edges leaving it, counted edge by edge."""
+    full = (1 << graph.n) - 1
+    for mask, w in zip(view.masks, view.weights):
+        if mask == full:
+            continue
+        leaving = sum(1 for u, v in graph.sorted_edges if (mask >> u & 1) != (mask >> v & 1))
+        if w != (1 if mask.bit_count() % 2 else 2 * (leaving % 2)):
+            return False
+    return True
+
+
+def settled_by_signs(weights) -> bool:
+    """Whether every colouring of components with these weights gives one
+    outcome, by every sign vector: every signed sum is 0 (no majority), or
+    some ball's sign is the sign of every signed sum, none of which is 0
+    (that ball's heavier side holds the majority)."""
+    sums = [
+        (signs, sum(s * w for s, w in zip(signs, weights)))
+        for signs in itertools.product((1, -1), repeat=len(weights))
+    ]
+    if all(total == 0 for _, total in sums):
+        return True
+    return any(all(signs[i] * total > 0 for signs, total in sums) for i in range(len(weights)))
 
 
 def atlas_graphs(max_n):

@@ -6,9 +6,10 @@ import itertools
 import random
 
 import pytest
-from oracles import brute_canonical_form
+from oracles import brute_canonical_form, discipline_holds
 
 from majority_game import adversary as adv
+from majority_game import graphsolver
 from majority_game.core import GameError, Graph, StrategyError, UnsolvableGraphError
 from majority_game.generators import (
     complete_graph,
@@ -63,10 +64,8 @@ def reference_reachable(graph, adversary) -> set:
 
 def reference_all_orders(graph) -> bool:
     adversary = adv.TreelemmaAdversary(graph)
-    return not any(
-        adv.check_treelemma_conditions(graph, GameView(graph, codes))
-        for codes in reference_reachable(graph, adversary)
-    )
+    states = reference_reachable(graph, adversary)
+    return all(discipline_holds(graph, GameView(graph, codes)) for codes in states)
 
 
 def outcome(fn, *args):
@@ -146,26 +145,49 @@ def test_all_orders_catches_a_broken_discipline(monkeypatch):
     # the quotient walk's visited set is shared under the rule's identity,
     # which the patch keeps: a warm set must not hide the broken rule, and
     # what the broken rule passed must not outlive the patch
-    g = path_graph(6)
-    assert adv.verify_treelemma_all_orders(g) is True
+    # P6 takes the quotient walk and C6 the level walk
+    graphs = [path_graph(6), cycle_graph(6)]
+    assert all(adv.verify_treelemma_all_orders(g) is True for g in graphs)
     clear_quotient_cache()
     monkeypatch.setattr(adv, "_treelemma_target", lambda sx, sy, wx, wy, delta, full: wx + wy)
     try:
-        assert reference_all_orders(g) is False
-        assert adv.verify_treelemma_all_orders(g) is False
+        for g in graphs:
+            assert reference_all_orders(g) is False
+            assert adv.verify_treelemma_all_orders(g) is False
     finally:
         clear_quotient_cache()
+
+
+def cycle_graph(n):
+    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def with_least_non_edge(tree):
+    n = tree.n
+    extra = min((u, v) for u in range(n) for v in range(u + 1, n) if not tree.has_edge(u, v))
+    return Graph.from_edges(n, [*tree.sorted_edges, extra])
+
+
+def test_all_orders_hold_off_trees():
+    """The discipline can always be met, on any graph: odd + even sizes
+    give 1 = 1 + 0 or |1 - 2|, odd + odd give 0 or 2, and even + even give
+    2 * (dx ^ dy), which is one of 2dx + 2dy and |2dx - 2dy|.  So the
+    level walk, which a graph with a cycle takes, finds it in every state."""
+    graphs = [cycle_graph(n) for n in range(3, 10)]
+    graphs += [with_least_non_edge(t) for n in range(4, 7) for t in free_trees(n)]
+    graphs += [with_least_non_edge(random_tree(8, 1)), with_least_non_edge(random_tree(9, 2))]
+    assert len(graphs) == 20
+    for g in graphs:
+        assert adv.verify_treelemma_all_orders(g) is True, g.sorted_edges
+        assert reference_all_orders(g) is True, g.sorted_edges
 
 
 def level_walk_all_orders(graph) -> bool:
     """The packed-state level walk, which stops at the first level with a
     violation and so never applies the rule to a broken component."""
     adversary = adv.TreelemmaAdversary(graph)
-    return not any(
-        adv.check_treelemma_conditions(graph, view)
-        for views in adversary_levels(graph, adversary)
-        for view in views
-    )
+    levels = adversary_levels(graph, adversary)
+    return all(discipline_holds(graph, view) for views in levels for view in views)
 
 
 def test_all_orders_sorts_trees_under_a_subtle_break(monkeypatch):
@@ -279,6 +301,22 @@ def test_label_walk_tells_trees_apart():
             assert got == reference_forced_queries(g, strat)
             values.add(got)
         assert len(values) >= (2 if n >= 4 else 1)
+
+
+def test_forced_walk_keys_each_tuple_once(monkeypatch):
+    # two query orders that reach one partition reach one (labels, edges)
+    # tuple, so a walk keys each tuple once: 4,520 over the free trees with
+    # n = 10, where keying every tree entered took 7,754
+    calls = []
+    real = graphsolver.tree_key
+    monkeypatch.setattr(graphsolver, "tree_key", lambda *args: calls.append(args) or real(*args))
+    clear_quotient_cache()
+    try:
+        for g in free_trees(10):
+            assert forced_queries(g, adv.TreelemmaAdversary(g)) == 9
+        assert len(calls) == 4520
+    finally:
+        clear_quotient_cache()
 
 
 def test_label_walk_errors():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     consistent_colorings,
     count_consistent,
+    settled_by_signs,
     tuple_apply_query,
     tuple_component_index,
     tuple_encode_state,
@@ -26,10 +27,12 @@ from majority_game.core import (
     component_weights,
     initial_state,
     outcome_valid,
+    settled,
     terminal_outcome,
 )
 from majority_game.generators import complete_graph, path_graph, random_graph
 from majority_game.graphsolver import encode_state
+from majority_game.weighted import weight_multisets
 
 
 def play_edges(graph, moves):
@@ -114,6 +117,12 @@ def test_terminal_outcomes():
         reds = coloring.count("R")
         outcomes.add("none" if reds * 2 == 4 else "majority")
     assert outcomes == {"none", "majority"}
+
+
+def test_settled_matches_the_sign_vectors():
+    for w in [(), *weight_multisets(10)]:
+        for padded in (w, w + (0,), w + (0, 0)):
+            assert settled(padded) == settled_by_signs(padded), padded
 
 
 def test_outcome_validation_matches_enumeration():
