@@ -4,6 +4,10 @@ whatever the search finds.
 
   * reverse pair-merge: a non-hard (a, a, rest) whose merge (2a, rest) is
     hard would refute the reverse of the forward hardness propagation;
+  * odd paths: for odd n, the game value m(P_n), the verification
+    complexity m_nd(P_n) and the savings n - m_nd(P_n) (which grows like
+    sqrt(n)), with the search's expanded nodes, the row's seconds and the
+    process's peak resident memory so far, one tab-separated row each;
   * tree floor: search small odd trees for m(T) < n - 3; each row gives
     the tree count, the histogram of n - m(T) and the seconds;
   * even trees: the weight-discipline adversary against every even free
@@ -20,7 +24,7 @@ whatever the search finds.
     by the tree DP's minimum certificates.
 
 Usage: python3 scripts/search_open_questions.py [--max-tree-n 11] [--max-total 34]
-           [--max-even-n 12] [--max-mnd-n 9] [--max-verify-n 16]
+           [--max-path-n 13] [--max-even-n 12] [--max-mnd-n 9] [--max-verify-n 16]
 """
 
 import argparse
@@ -31,15 +35,20 @@ from collections import Counter
 from majority_game.adversary import TreelemmaAdversary, verify_treelemma_all_orders
 from majority_game.bounds import popcount, search_obs_reverse_counterexample
 from majority_game.constructions import build_minedge_graph, minedge_querier, verify_querier
-from majority_game.generators import free_trees
+from majority_game.generators import free_trees, path_graph
 from majority_game.graphsolver import forced_queries, quotient_cache_info, solve_graph
-from majority_game.nondet import m_nd
+from majority_game.nondet import MAX_MND_N, m_nd
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-tree-n", type=int, default=11)
     parser.add_argument("--max-total", type=int, default=34)
+    parser.add_argument("--max-path-n", type=int, default=13)
     parser.add_argument("--max-even-n", type=int, default=12)
     parser.add_argument("--max-mnd-n", type=int, default=9)
     parser.add_argument("--max-verify-n", type=int, default=16)
@@ -54,6 +63,17 @@ def main(argv=None) -> int:
         else:
             w, merged = found
             print(f"  [{label}] counterexample: {w} is not hard but its merge {merged} is")
+
+    print(f"\nodd paths (n <= {args.max_path_n}):")
+    print("  n\tm\tm_nd\tn-m_nd\tnodes\tseconds\tpeak_rss_mb")
+    for n in range(3, args.max_path_n + 1, 2):
+        start = time.time()
+        path = path_graph(n)
+        res = solve_graph(path)
+        nd = m_nd(path) if n <= MAX_MND_N else "-"
+        saving = n - nd if isinstance(nd, int) else "-"
+        print(f"  {n}\t{res.value}\t{nd}\t{saving}\t{res.nodes_expanded}"
+              f"\t{time.time() - start:.1f}\t{_peak_rss_mb():.0f}", flush=True)
 
     print(f"\nodd-tree floor search (n <= {args.max_tree_n}):")
     for n in range(3, args.max_tree_n + 1, 2):
@@ -86,10 +106,9 @@ def main(argv=None) -> int:
         budget = n - popcount(n)
         report = verify_querier(build_minedge_graph(n).graph, minedge_querier(n), budget)
         verdict = "pass" if report.passed else f"FAIL at {report.failure_path}"
-        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
         print(f"  n={n}: {verdict}, {report.leaves_checked} leaves,"
               f" max {report.max_queries} queries vs n - b(n) = {budget}"
-              f" ({time.time() - start:.1f}s, peak RSS {rss_mb:.0f} MB)", flush=True)
+              f" ({time.time() - start:.1f}s, peak RSS {_peak_rss_mb():.0f} MB)", flush=True)
 
     print(f"\nm_nd over odd free trees (n <= {args.max_mnd_n}):")
     for n in range(3, args.max_mnd_n + 1, 2):

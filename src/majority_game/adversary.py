@@ -3,8 +3,10 @@
 Every adversary implements ``choose_merge(view, edge) -> int``: given a
 state snapshot and a cross-component query it returns the weight of the
 merged component, which must be the sum or the absolute difference of the
-endpoint component weights.  ``graphsolver.play`` translates the chosen
-weight into SAME/DIFF for the concrete splits.
+endpoint component weights.  ``core.require_merge`` is the one check of
+that rule; it raises ``StrategyError``, as does ``OddpathAdversary`` when
+its discipline breaks.  ``graphsolver.play`` translates the chosen weight
+into SAME/DIFF for the concrete splits.
 
 An adversary may also opt in to the label protocol with two methods.
 ``component_label(mask, weight)`` returns a hashable label of a component
@@ -38,21 +40,10 @@ import random
 from dataclasses import dataclass
 
 from . import weighted
-from .core import BLUE, RED, GameError, Graph, InputError, QueryState, merge_weights, parse_coloring
+from .core import BLUE, RED, GameError, Graph, InputError, QueryState, StrategyError, merge_weights
+from .core import parse_coloring, require_merge
 from .generators import is_path_in_order, is_tree, rooted_order
 from .graphsolver import Game, GameView, all_orders_hold
-
-
-class AdversaryInvariantError(GameError):
-    pass
-
-
-def _require_candidate(target: int, wx: int, wy: int) -> int:
-    if target not in merge_weights(wx, wy):
-        raise AdversaryInvariantError(
-            f"no answer realizes merged weight {target} from ({wx}, {wy})"
-        )
-    return target
 
 
 class ExactWeightedAdversary:
@@ -98,7 +89,7 @@ class ColoringAdversary:
         target = abs(self._csum(mx) + self._csum(my))
         wx = view.weights[view.comp_of(u)]
         wy = view.weights[view.comp_of(v)]
-        return _require_candidate(target, wx, wy)
+        return require_merge(target, wx, wy)
 
 
 def eventrees_coloring(tree: Graph) -> str:
@@ -107,51 +98,40 @@ def eventrees_coloring(tree: Graph) -> str:
 
     Starts from an arbitrary balanced coloring and repeatedly repairs a
     balanced-cutting edge; each repair strictly lowers the number of such
-    edges, so the loop terminates.
+    edges, so the loop terminates.  The side of edge (u, v) that holds u is
+    a subtree of one ``rooted_order`` pass, or its complement, and the red
+    vertices are one mask.
     """
     n = tree.n
     if n % 2 != 0:
         raise InputError("the construction needs an even number of vertices")
     if not is_tree(tree):
         raise InputError("input must be a tree")
-    adj = tree.adjacency
+    order, parent = rooted_order(tree)
+    below = [1 << x for x in range(n)]  # each vertex's subtree
+    for x in reversed(order[1:]):
+        below[parent[x]] |= below[x]
+    full = (1 << n) - 1
+    sides = [below[u] if parent[u] == v else full ^ below[v] for u, v in tree.sorted_edges]
+    red = (1 << n // 2) - 1
 
-    sides = {}
-    for u, v in tree.sorted_edges:
-        seen = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if (x, y) == (u, v):
-                    continue
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        sides[(u, v)] = frozenset(seen)
-
-    colors = [RED] * (n // 2) + [BLUE] * (n // 2)
-
-    def balanced_cut(edge) -> bool:
-        part = sides[edge]
-        reds = sum(1 for x in part if colors[x] == RED)
-        return 2 * reds == len(part)
+    def balanced_cut(side: int) -> bool:
+        return 2 * (red & side).bit_count() == side.bit_count()
 
     for _ in range(n * n):
-        bad = next((e for e in tree.sorted_edges if balanced_cut(e)), None)
+        bad = next((e for e, side in enumerate(sides) if balanced_cut(side)), None)
         if bad is None:
             break
-        u, v = bad
-        if colors[u] == colors[v]:
-            for x in sides[bad]:
-                colors[x] = RED if colors[x] == BLUE else BLUE
-        colors[u], colors[v] = colors[v], colors[u]
+        u, v = tree.sorted_edges[bad]
+        if (red >> u ^ red >> v) & 1 == 0:  # one colour: flip u's side
+            red ^= sides[bad]
+        red ^= 1 << u | 1 << v  # swap the two endpoints' colours, which differ
     else:  # pragma: no cover
         raise AssertionError("balanced-cut repair failed to terminate")
 
-    assert 2 * colors.count(RED) == n
-    assert not any(balanced_cut(e) for e in tree.sorted_edges)
-    return "".join(colors)
+    assert 2 * red.bit_count() == n
+    assert not any(map(balanced_cut, sides))
+    return "".join(RED if red >> x & 1 else BLUE for x in range(n))
 
 
 def _odd_degree_mask(edges) -> int:
@@ -178,7 +158,7 @@ def _treelemma_target(sx: int, sy: int, wx: int, wy: int, delta_union: int, full
         # no proper-subset condition applies; do not gift a terminal state
         candidates = merge_weights(wx, wy)
         return next((w for w in (target, *candidates) if w in candidates and w != 0), target)
-    return _require_candidate(target, wx, wy)
+    return require_merge(target, wx, wy)
 
 
 class TreelemmaAdversary:
@@ -304,15 +284,10 @@ class Lefogo1Adversary(_CoveringAdversary):
         u, v = edge
         i, j = view.comp_of(u), view.comp_of(v)
         wi, wj = view.weights[i], view.weights[j]
-        fresh = None
-        for vert, idx in ((u, i), (v, j)):
-            if vert not in self.cover and view.size(idx) == 1:
-                fresh = idx
-        if fresh is not None:
-            other_w = wj if fresh == i else wi
-            if other_w >= 2:
-                return other_w - 1
-            return wi + wj
+        # a fresh singleton weighs 1, so two fresh endpoints fall through
+        for vert, idx, other in ((u, i, wj), (v, j, wi)):
+            if vert not in self.cover and view.size(idx) == 1 and other >= 2:
+                return other - 1
         return wi + wj
 
 
@@ -347,7 +322,7 @@ class OddpathAdversary(_CoveringAdversary):
             return s if s <= 1 else d
         legal = [w for w in (d, s) if w >= 1]
         if not legal:  # both components balanced; cannot happen on-cover
-            raise AdversaryInvariantError("cover component reached weight 0")
+            raise StrategyError("cover component reached weight 0")
         in_band = [w for w in legal if w <= 2]
         return in_band[0] if in_band else legal[0]
 
@@ -401,25 +376,15 @@ class Lefogo2Adversary(_CoveringAdversary):
             if dirs >= 2:
                 connecting.add(x)
         blocked = cover | connecting
-        seen2 = [False] * n
+        free = Graph.from_edges(n, [e for e in tree.edges if not blocked.intersection(e)])
         parts = []
-        for s in range(n):
-            if s in blocked or seen2[s]:
+        for comp in free.components():  # by least vertex
+            if comp & blocked:  # a blocked vertex, alone
                 continue
-            comp = {s}
-            seen2[s] = True
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in blocked and not seen2[y]:
-                        seen2[y] = True
-                        comp.add(y)
-                        stack.append(y)
             boundary = sorted(x for x in comp if any(y in blocked for y in adj[x]))
             part_root = boundary[0] if boundary else None
             augmented = len(comp) % 2 == 0
-            odd = _odd_degree_mask(e for e in tree.edges if e[0] in comp and e[1] in comp)
+            odd = _odd_degree_mask(e for e in free.edges if e[0] in comp)
             if augmented:
                 odd ^= 1 << part_root  # the imaginary pendant vertex hangs there
             parts.append(HangingPart(_mask_of(comp), part_root, augmented, odd))

@@ -14,6 +14,8 @@ values and all operations are pure functions.
 ``settled`` and ``merge_weights`` write two rules of the game on weights
 once for every layer: when a position is over, and the sum and the
 difference a query can leave (the weighted game of Saks and Werman).
+``require_merge`` is the one check that an adversary's or a merge rule's
+weight is one of the two; it raises ``StrategyError``.
 """
 
 from __future__ import annotations
@@ -299,6 +301,13 @@ def merge_weights(a: int, b: int) -> tuple[int, int]:
     """The weights a query can leave from components of weights a and b:
     the sum and the difference."""
     return a + b, abs(a - b)
+
+
+def require_merge(target: int, a: int, b: int) -> int:
+    """``target``, if a query can leave it from weights a and b."""
+    if target not in merge_weights(a, b):
+        raise StrategyError(f"merge weight {target} unreachable from weights ({a}, {b})")
+    return target
 
 
 def terminal_outcome(state: QueryState) -> Outcome | None:

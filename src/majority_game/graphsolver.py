@@ -55,13 +55,17 @@ with no scan of its moves (``closed_by_upper`` counts these); otherwise
 its best starts at min(ub, beta), and a search that finds no move below
 ub proves ub exact.  A move's second answer is searched only when its
 first does not already cut the move.
-The table has two kinds of entry: exact values, which answer every
-lookup, and lower bounds from nodes that found no move below their beta,
-which answer a lookup whose cutoff they reach and otherwise seed the
-re-search.  Both kinds count towards ``table_cap``.
+
+One table holds two kinds of entry, told apart by their sign: an exact
+value v is stored as v and answers every lookup, and a lower bound b from
+a node that found no move below its beta is stored as -b; it answers a
+lookup whose cutoff it reaches and otherwise seeds the re-search.  Every
+tabled value is at least 1, since terminal states are never tabled, so one
+probe reads either kind.  A store replaces the key's entry, and writes a
+new key only while the table holds fewer than ``table_cap`` entries.
 
 Where a child is decided: the parent's move loop, not a call.  ``_value``
-is the entry, used at the root and by ``best_query``; it reads the tables
+is the entry, used at the root and by ``best_query``; it reads the table
 and the weighted bound, and calls ``_expand`` only when they leave the
 state open.  ``_expand`` decides each child of its own moves in the loop:
 an exact entry is the child's value (``exact_hits``), a weighted bound of
@@ -98,7 +102,8 @@ tuple, which two query orders reaching one partition share, so it keys
 such a tree once.  ``all_orders_hold`` checks only the merged node's label
 after each contraction, past terminal trees; the keys of the trees from
 which everything reachable passed form a visited set kept per merge rule
-and predicate, shared the same way.  ``quotient_cache_info`` and
+and predicate, shared the same way, and one call keeps the exact tuples
+that passed, so it too keys such a tree once.  ``quotient_cache_info`` and
 ``clear_quotient_cache`` read and empty both.  Any other graph, or an
 adversary without the protocol, takes the levels.
 """
@@ -124,6 +129,7 @@ from .core import (
     initial_state,
     merge_weights,
     normalize_edge,
+    require_merge,
     settled,
     terminal_outcome,
 )
@@ -294,8 +300,9 @@ class GraphSolver:
         if canonical not in ("path", "generic"):
             raise InputError(f"unknown canonical mode: {canonical}")
         self.canonical = canonical
-        self.table: dict[tuple[int, ...], int] = {}  # exact values
-        self.bound_table: dict[tuple[int, ...], int] = {}  # lower bounds
+        # an exact value v as v, a lower bound b as -b; every tabled value
+        # is at least 1, as terminal states are never tabled
+        self.table: dict[tuple[int, ...], int] = {}
         self.table_cap = table_cap
         self.nodes = 0
         self.closed = 0  # nodes whose lower bound met the upper bound
@@ -328,21 +335,21 @@ class GraphSolver:
         bound on it that is at least beta.  ``nbrs[i]`` holds the vertices
         adjacent to component i, and ``cnt`` the weight counts."""
         key = self._key(codes)
-        hit = self.table.get(key)
-        if hit is not None:
+        hit = self.table.get(key, 0)
+        if hit > 0:
             return hit
         lb = self.bounds[cnt >> self.shift]
         if not lb:  # the weighted value is 0 on exactly the terminal states
             return 0
-        lb = max(self.bound_table.get(key, 0), lb)
+        lb = max(-hit, lb)  # hit is 0 or a negated lower bound here
         if lb >= beta:
             return lb
         return self._expand(key, codes, nbrs, cnt, lb, beta)
 
     def _expand(self, key, codes: tuple[int, ...], nbrs: tuple[int, ...], cnt: int, lb: int, beta: int) -> int:
-        """``_value`` of a non-terminal state that the tables leave open:
+        """``_value`` of a non-terminal state that the table leaves open:
         ``key`` is its table key and ``lb`` its best lower bound, below beta.
-        The loop decides a child from the tables itself, and calls this only
+        The loop decides a child from the table itself, and calls this only
         for a child that must be searched."""
         wmask, shift, units, bounds = self.wmask, self.shift, self.units, self.bounds
         weights = [c & wmask for c in codes]
@@ -362,7 +369,7 @@ class GraphSolver:
                         ub -= 1
         if lb >= ub:
             self.closed += 1
-            return self._store(key, ub, self.table)
+            return self._store(key, ub, True)
         self.nodes += 1
         moves = []
         for j, mj in enumerate(masks):
@@ -379,7 +386,7 @@ class GraphSolver:
                     else:
                         moves.append((1 + lb_plus, -plus, i, j, plus, minus, lb_minus))
         moves.sort()
-        table, bound_table, expand = self.table, self.bound_table, self._expand
+        table, expand = self.table, self._expand
         path_key = self._key if self.canonical == "path" else None
         exact_hits = bound_hits = 0
         # only a move below beta is of use to the caller, and only one below
@@ -394,13 +401,13 @@ class GraphSolver:
             for w, child_lb in ((first, est - 1), (second, lb_second)):
                 child = _merge_codes(codes, i, j, w, shift)
                 child_key = path_key(child) if path_key else child
-                v = table.get(child_key)
-                if v is not None:
+                v = table.get(child_key, 0)
+                if v > 0:
                     exact_hits += 1
                 elif not child_lb:  # terminal
                     v = 0
                 else:
-                    v = bound_table.get(child_key, 0)
+                    v = -v  # the child's tabled lower bound, or 0
                     if v >= cut:
                         bound_hits += 1
                         break
@@ -418,23 +425,23 @@ class GraphSolver:
                     break
         self.exact_hits += exact_hits
         self.bound_hits += bound_hits
-        return self._store(key, best, table if best < beta else bound_table)
+        return self._store(key, best, best < beta)
 
-    def _store(self, key: tuple[int, ...], value: int, table: dict) -> int:
+    def _store(self, key: tuple[int, ...], value: int, exact: bool) -> int:
         """Table an exact value or a lower bound, replacing any bound the
-        key had, unless the two tables together are at the cap."""
-        self.bound_table.pop(key, None)
-        if self.table_cap is None or len(self.table) + len(self.bound_table) < self.table_cap:
-            table[key] = value
+        key had, unless the table is at the cap and the key is new."""
+        table = self.table
+        if self.table_cap is None or key in table or len(table) < self.table_cap:
+            table[key] = value if exact else -value
         return value
 
     def solve(self) -> SolveResult:
         t0 = time.perf_counter()
         value = self._search(root_codes(self.n), self.n)  # every value is below n
         ms = (time.perf_counter() - t0) * 1000.0
-        entries = len(self.table) + len(self.bound_table)
+        bounds = sum(1 for v in self.table.values() if v < 0)
         return SolveResult(
-            value, self.nodes, ms, self.canonical, entries, len(self.bound_table), self.closed,
+            value, self.nodes, ms, self.canonical, len(self.table), bounds, self.closed,
             self.exact_hits, self.bound_hits,
         )
 
@@ -541,13 +548,6 @@ def play(graph: Graph, querier, adversary) -> Transcript:
     return game.transcript()
 
 
-def _require_merge(target: int, a: int, b: int) -> int:
-    """``target``, if a query can leave it from weights a and b."""
-    if target not in merge_weights(a, b):
-        raise StrategyError(f"merge weight {target} unreachable from weights ({a}, {b})")
-    return target
-
-
 def adversary_successors(view: GameView, adversary) -> list[tuple[int, ...]]:
     """The packed state after each cross-component edge of the view's
     graph, answered by the adversary."""
@@ -557,7 +557,7 @@ def adversary_successors(view: GameView, adversary) -> list[tuple[int, ...]]:
     for u, v in view.graph.sorted_edges:
         a, b = vc[u], vc[v]
         if a != b:
-            target = _require_merge(adversary.choose_merge(view, (u, v)), ws[a], ws[b])
+            target = require_merge(adversary.choose_merge(view, (u, v)), ws[a], ws[b])
             out.append(_merge_codes(codes, a, b, target, shift))
     return out
 
@@ -659,7 +659,7 @@ def all_orders_hold(graph: Graph, adversary, holds) -> bool:
         return True
     seen = _visited.setdefault((adversary.merge_labels, holds), set())
     return all(map(holds, labels)) and _quotient_states_hold(
-        adversary.merge_labels, holds, seen, labels, graph.sorted_edges
+        adversary.merge_labels, holds, seen, set(), labels, graph.sorted_edges
     )
 
 
@@ -671,7 +671,7 @@ def _merged_label(rule, a, b, full: bool):
     """``rule``'s label for the union of two adjacent nodes, whose weight
     must be the sum or the difference of theirs."""
     merged = rule(a, b, full)
-    _require_merge(merged[0], a[0], b[0])
+    require_merge(merged[0], a[0], b[0])
     return merged
 
 
@@ -725,21 +725,25 @@ def _quotient_value(rule, memo: dict, met: dict, labels, edges) -> int:
     return value
 
 
-def _quotient_states_hold(rule, holds, seen: set, labels, edges) -> bool:
+def _quotient_states_hold(rule, holds, seen: set, passed: set, labels, edges) -> bool:
     """Whether every tree that contractions reach from this labelled
     quotient tree, itself included, has ``holds`` true of each proper node's
     label, given that its own labels pass.  Only the merged node's label is
     new in a contraction, so only it is checked; ``seen`` holds the keys of
-    the trees already found to pass."""
-    key = tree_key(labels, edges, _interned)
-    if key in seen:
+    the trees already found to pass, and ``passed`` those of this walk as
+    exact (labels, edges) tuples, which spares the key of a tree met again."""
+    if (labels, edges) in passed:
         return True
-    full = len(labels) == 2  # the last query merges the whole graph
-    for e, (a, b) in enumerate(edges):
-        merged = _merged_label(rule, labels[a], labels[b], full)
-        if full:
-            continue  # the whole graph is no proper component
-        if not holds(merged) or not _quotient_states_hold(rule, holds, seen, *_contract(labels, edges, e, merged)):
-            return False
-    seen.add(key)
+    key = tree_key(labels, edges, _interned)
+    if key not in seen:
+        full = len(labels) == 2  # the last query merges the whole graph
+        for e, (a, b) in enumerate(edges):
+            merged = _merged_label(rule, labels[a], labels[b], full)
+            if full:
+                continue  # the whole graph is no proper component
+            child = _contract(labels, edges, e, merged)
+            if not holds(merged) or not _quotient_states_hold(rule, holds, seen, passed, *child):
+                return False
+        seen.add(key)
+    passed.add((labels, edges))
     return True

@@ -6,9 +6,13 @@ Each test prints one PASS/FAIL line per criterion check; run with -s or
 
 import functools
 import io
+import re
 import shlex
+from pathlib import Path
 
 from majority_game import cli, suites
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _commands(repro):
@@ -81,3 +85,18 @@ def test_criterion_09_hard_coloring_repro_runs(capsys, monkeypatch):
 
 def test_criterion_10_monotonicity():
     _run(suites.criterion_10(seed=0))
+
+
+def test_readme_commands_parse():
+    # every command of README's shell blocks parses, and every script it
+    # runs exists; a trailing comment is no part of the command
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    lines = [re.sub(r"\s+#.*", "", line) for block in blocks for line in block.splitlines()]
+    commands = [line for line in lines if line.startswith("majority-game ")]
+    scripts = [line.split()[1] for line in lines if line.startswith("python3 scripts/")]
+    assert len(commands) >= 10 and scripts
+    for line in commands:
+        for argv in _commands(line):
+            cli.build_parser().parse_args(argv)  # exits 2 on a command that does not parse
+    for script in scripts:
+        assert (ROOT / script).is_file(), script

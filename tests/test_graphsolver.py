@@ -25,6 +25,7 @@ from majority_game.graphsolver import (
     GraphSolver,
     _merge_codes,
     _terminal,
+    encode_state,
     forced_queries,
     optimal_querier,
     play,
@@ -434,6 +435,24 @@ def test_atlas_states_lie_between_the_solver_bounds():
             ub = solver._expand(view.codes, view.codes, nbrs, cnt, g.n, g.n)
             assert ub == reference_upper(g, view), (g.to_text(), state)
             assert lb <= value <= ub, (g.to_text(), state)
+
+
+def test_table_entries_match_split_level_oracle():
+    # the one table holds an exact value v as v and a lower bound b as -b:
+    # every entry's state is one the oracle reaches, each positive entry is
+    # the state's value and each negative one is at most it
+    solves = [(g, "generic") for g in atlas_graphs(6)] + [(path_graph(n), "path") for n in range(2, 10)]
+    bound_entries = 0
+    for g, canonical in solves:
+        solver = GraphSolver(g, canonical)
+        result = solver.solve()
+        values = {solver._key(encode_state(state)): value for state, value in reference_search(g)[1].values()}
+        assert solver.table.keys() <= values.keys(), g.to_text()
+        for key, entry in solver.table.items():
+            assert entry == values[key] if entry > 0 else -entry <= values[key], (g.to_text(), key, entry)
+        assert sum(1 for entry in solver.table.values() if entry < 0) == result.bound_entries
+        bound_entries += result.bound_entries
+    assert bound_entries > 0
 
 
 def test_atlas_values_survive_relabelling():
