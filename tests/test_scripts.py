@@ -15,12 +15,13 @@ def load_script(name):
     return module
 
 
-def test_search_open_questions_smoke(capsys):
-    argv = ["--max-tree-n", "7", "--max-total", "6", "--max-path-n", "7", "--max-even-n", "8", "--max-mnd-n", "7",
-            "--max-verify-n", "8"]
+def test_odd_path_table_smoke(capsys):
+    # the odd-path table is search_open_questions' --max-path-n section; the
+    # other sections are switched off by bounds below their first n
+    argv = ["--max-tree-n", "0", "--max-total", "0", "--max-path-n", "7", "--max-even-n", "0", "--max-mnd-n", "0",
+            "--max-verify-n", "0"]
     assert load_script("search_open_questions").main(argv) == 0
-    out = capsys.readouterr().out
-    section = out.split("odd paths (n <= 7):\n")[1]
+    section = capsys.readouterr().out.split("odd paths (n <= 7):\n")[1]
     header, *rows = (line.strip() for line in section.splitlines()[:4])
     assert header.split("\t") == ["n", "m", "m_nd", "n-m_nd", "nodes", "seconds", "peak_rss_mb"]
     cells = [row.split("\t") for row in rows]
@@ -31,6 +32,14 @@ def test_search_open_questions_smoke(capsys):
     # the strategy bound n - 2; P7's bound 4 is below 5
     assert [int(c[4]) for c in cells[:2]] == [0, 0] and int(cells[2][4]) > 0
     assert all(float(c[5]) >= 0 and float(c[6]) > 0 for c in cells)
+
+
+def test_search_open_questions_smoke(capsys):
+    argv = ["--max-tree-n", "7", "--max-total", "6", "--max-path-n", "7", "--max-even-n", "8", "--max-mnd-n", "7",
+            "--max-verify-n", "8"]
+    assert load_script("search_open_questions").main(argv) == 0
+    out = capsys.readouterr().out
+    assert "odd paths (n <= 7):\n" in out
     section = out.split("hub construction answer trees (n <= 8):\n")[1]
     rows, stats = zip(*(line.split(" (") for line in section.splitlines()[:5]))
     assert all(re.fullmatch(r"\d+\.\ds, peak RSS [1-9]\d* MB\)", s) for s in stats), stats
