@@ -21,7 +21,8 @@ whatever the search finds.
     passes; each row gives the walk's seconds and the process's peak
     resident memory so far;
   * verification complexity: the histogram of m_nd(T) over odd free trees,
-    by the tree DP's minimum certificates.
+    by the tree DP's minimum certificates; a --max-mnd-n above
+    nondet.MAX_MND_N (16) is a usage error, reported before any section runs.
 
 Usage: python3 scripts/search_open_questions.py [--max-tree-n 11] [--max-total 34]
            [--max-path-n 13] [--max-even-n 12] [--max-mnd-n 9] [--max-verify-n 16]
@@ -53,6 +54,8 @@ def main(argv=None) -> int:
     parser.add_argument("--max-mnd-n", type=int, default=9)
     parser.add_argument("--max-verify-n", type=int, default=16)
     args = parser.parse_args(argv)
+    if args.max_mnd_n > MAX_MND_N:
+        parser.error(f"--max-mnd-n is limited to {MAX_MND_N}: m_nd enumerates 2**(n-1) colorings")
 
     t0 = time.time()
     print(f"reverse pair-merge search (totals <= {args.max_total}):")

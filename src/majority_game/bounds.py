@@ -139,18 +139,14 @@ def _subset_sum_multiset(values, target: int):
 
 
 def _suly1(w: WeightVector, certs: list[Certificate]) -> None:
+    """Unit-head lemma: a total of 2^(n+1) + r, r = 0 or 1, with at least
+    2^n unit balls and more than 2^n + r balls, concludes k - 1 - r."""
     k, total = len(w), sum(w)
-    ones = w.count(1)
-    for p2 in _powers_of_two_up_to(max(ones, 1)):
-        n = p2.bit_length() - 1
-        if ones >= p2 and k > p2 and total == 2 * p2:
-            certs.append(Certificate(k - 1, CertificateSource.SULY1_I, {"n": n}))
-            break
-    for p2 in _powers_of_two_up_to(max(ones, 1)):
-        n = p2.bit_length() - 1
-        if ones >= p2 and k > p2 and k != p2 + 1 and total == 2 * p2 + 1:
-            certs.append(Certificate(k - 2, CertificateSource.SULY1_II, {"n": n}))
-            break
+    r = total & 1
+    p2 = (total - r) // 2
+    if p2 and p2 & (p2 - 1) == 0 and w.count(1) >= p2 and k > p2 + r:
+        source = CertificateSource.SULY1_II if r else CertificateSource.SULY1_I
+        certs.append(Certificate(k - 1 - r, source, {"n": p2.bit_length() - 1}))
 
 
 def _equal_heads(w: WeightVector):
@@ -167,9 +163,12 @@ def _equal_heads(w: WeightVector):
 def _suly1forma_i(w: WeightVector, certs: list[Certificate]) -> None:
     """Equal-head lemma, part (i): an odd number of signed partitions of the
     remaining balls hits difference a*2^n.  A signed sum of the rest has the
-    parity of total - a*2^n, so this needs an even total.  Only the parity
-    is read: `signed_sum_parity` over the window (a*2^n - 1, a*2^n], from
-    the product of (1 + X^w) over GF(2)."""
+    parity of total - a*2^n, so on an odd total the window is empty and
+    nothing is checked.  Only the parity is read: `signed_sum_parity` over
+    the window (a*2^n - 1, a*2^n], from the product of (1 + X^w) over
+    GF(2)."""
+    if sum(w) % 2:
+        return
     for a, p2, n, rest in _equal_heads(w):
         if signed_sum_parity(rest, a * p2 - 1, a * p2):
             certs.append(Certificate(len(w) - 1, CertificateSource.SULY1FORMA_I, {"n": n, "head": a}))
@@ -277,13 +276,11 @@ def _base_hard_certificate(w: WeightVector) -> Certificate | None:
 
     Only a bound equal to `hard_level` counts.  The equal-head lemma's part
     (i) concludes k-1 and holds only on an even total; part (ii) concludes
-    k-2, the level of an odd total.  So only the part that can reach the
-    level is checked."""
+    k-2, the level of an odd total, so it is checked only there."""
     certs: list[Certificate] = []
     _suly1(w, certs)
-    if sum(w) % 2 == 0:
-        _suly1forma_i(w, certs)
-    else:
+    _suly1forma_i(w, certs)
+    if sum(w) % 2:
         _suly1forma_ii(w, certs)
     _suly2(w, certs)
     level = hard_level(w)

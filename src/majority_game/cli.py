@@ -4,11 +4,18 @@ Graphs are read from files in the text format "n m" followed by m lines
 "u v" (0-indexed); "-" reads from stdin.  Colorings are strings over
 {R, B}.  Every subcommand that reports a result takes --json for
 machine-readable output; seeds default to 0 and are printed.
+
+The front end restates none of the library's facts: ``solve-graph
+--json`` is ``n`` and ``m`` beside the fields of ``graphsolver.SolveResult``,
+the suites and their criteria are ``suites.SUITES``, the instance kinds are
+``generators.KINDS``, and every ``QUERY u v -> ANSWER`` line is
+``core.query_line``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -17,7 +24,7 @@ from pathlib import Path
 from . import adversary as adv
 from . import bounds, constructions, generators, nondet, suites, weighted
 from .bounds import popcount
-from .core import Graph, InputError, UnsolvableGraphError, component_weights
+from .core import Graph, InputError, UnsolvableGraphError, component_weights, query_line
 from .graphsolver import Game, forced_queries, play, quotient_cache_info, solve_graph
 
 
@@ -61,19 +68,8 @@ def _cmd_solve_weighted(args) -> int:
 def _cmd_solve_graph(args) -> int:
     graph = _load_graph(args.graph)
     res = solve_graph(graph, canonical=args.canonical, table_cap=args.table_cap)
-    payload = {
-        "n": graph.n,
-        "m": len(graph.edges),
-        "value": res.value,
-        "nodes_expanded": res.nodes_expanded,
-        "runtime_ms": round(res.runtime_ms, 3),
-        "canonical": res.canonical,
-        "table_entries": res.table_entries,
-        "bound_entries": res.bound_entries,
-        "closed_by_upper": res.closed_by_upper,
-        "exact_hits": res.exact_hits,
-        "bound_hits": res.bound_hits,
-    }
+    payload = {"n": graph.n, "m": len(graph.edges), **dataclasses.asdict(res),
+               "runtime_ms": round(res.runtime_ms, 3)}
     _emit(payload, args.json, f"m(G) = {res.value}  [n={graph.n}, m={len(graph.edges)}, "
           f"{res.nodes_expanded} nodes, {res.runtime_ms:.1f} ms, {res.canonical} keys]")
     return 0
@@ -251,8 +247,7 @@ def _cmd_play(args) -> int:
         except Exception as exc:  # noqa: BLE001 - REPL surface
             print(f"rejected: {exc}")
             continue
-        (a, b), ans = game.moves[-1]
-        print(f"QUERY {a} {b} -> {ans.value}   weights: {component_weights(game.state)}")
+        print(f"{query_line(*game.moves[-1])}   weights: {component_weights(game.state)}")
         outcome = game.outcome()
         if outcome is not None:
             print(outcome)
@@ -269,7 +264,7 @@ def _cmd_run_suite(args) -> int:
         for r in records:
             # a check's time runs from the previous record, or the start, to its
             # own; checks made from one shared computation carry it on the first
-            print(json.dumps({"suite": r.suite, "name": r.name, "ok": r.ok, "detail": r.detail,
+            print(json.dumps({"suite": args.name, "name": r.name, "ok": r.ok, "detail": r.detail,
                               "repro": r.repro, "seconds": r.done_at - start}, sort_keys=True))
             start = r.done_at
     else:
@@ -350,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.set_defaults(fn=_cmd_nondet)
 
     p = sub.add_parser("generate", help="instance generators")
-    p.add_argument("kind", choices=["path", "star", "complete", "free-trees",
-                                    "random-tree", "random-graph", "minedge"])
+    p.add_argument("kind", choices=list(generators.KINDS))
     p.add_argument("n", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--p", type=float, default=0.5, help="edge probability")

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .bounds import popcount
 from .core import (
+    Answer,
     Edge,
     Graph,
     InputError,
@@ -28,6 +29,7 @@ from .core import (
     initial_state,
     normalize_edge,
     outcome_valid,
+    query_line,
     terminal_outcome,
 )
 
@@ -236,16 +238,14 @@ def verify_querier(graph: Graph, strategy, budget: int) -> VerifyReport:
     Passes iff every leaf is reached within the budget and its outcome is
     valid for every coloring consistent with the leaf state.  The walk
     keeps its answer path as (edge, answer) pairs; on failure the report
-    carries it as ``QUERY u v -> ANSWER`` lines.
+    carries it as ``query_line`` lines.
     """
-    from .core import Answer
-
     report = VerifyReport(max_queries=0, budget=budget, passed=True, leaves_checked=0)
     path: list[tuple[Edge, Answer]] = []
 
     def fail(*last: str) -> bool:
         report.passed = False
-        report.failure_path = [f"QUERY {u} {v} -> {ans.value}" for (u, v), ans in path] + list(last)
+        report.failure_path = [query_line(e, ans) for e, ans in path] + list(last)
         return False
 
     def rec(state: QueryState, depth: int) -> bool:

@@ -56,6 +56,12 @@ class Answer(enum.Enum):
 Edge = tuple[int, int]
 
 
+def query_line(edge: Edge, answer: Answer) -> str:
+    """A query and its answer as one transcript line, ``QUERY u v -> ANSWER``."""
+    u, v = edge
+    return f"QUERY {u} {v} -> {answer.value}"
+
+
 def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 

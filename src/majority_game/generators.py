@@ -8,7 +8,8 @@ Free trees are enumerated by generating canonical level sequences of rooted
 trees (the Beyer-Hedetniemi successor walk) and deduplicating by
 ``tree_key`` with one constant label, so every isomorphism class appears
 exactly once.  All randomized generators are deterministic for a fixed
-seed.
+seed.  ``KINDS`` names the instance kinds that ``generate`` builds and the
+command line offers.
 """
 
 from __future__ import annotations
@@ -194,22 +195,26 @@ def free_trees(n: int):
             yield Graph.from_edges(n, edges)
 
 
-def generate(kind: str, n: int, seed: int = 0, p: float = 0.5):
-    """Dispatch used by the CLI; returns a Graph or an iterator of Graphs."""
+def _minedge_graph(n: int, seed: int, p: float) -> Graph:
     from .constructions import build_minedge_graph
 
-    if kind == "path":
-        return path_graph(n)
-    if kind == "star":
-        return star_graph(n)
-    if kind == "complete":
-        return complete_graph(n)
-    if kind == "free-trees":
-        return free_trees(n)
-    if kind == "random-tree":
-        return random_tree(n, seed)
-    if kind == "random-graph":
-        return random_graph(n, p, seed)
-    if kind == "minedge":
-        return build_minedge_graph(n).graph
-    raise ValueError(f"unknown instance kind: {kind}")
+    return build_minedge_graph(n).graph
+
+
+KINDS = {  # each instance kind's builder, called as builder(n, seed, p)
+    "path": lambda n, seed, p: path_graph(n),
+    "star": lambda n, seed, p: star_graph(n),
+    "complete": lambda n, seed, p: complete_graph(n),
+    "free-trees": lambda n, seed, p: free_trees(n),
+    "random-tree": lambda n, seed, p: random_tree(n, seed),
+    "random-graph": lambda n, seed, p: random_graph(n, p, seed),
+    "minedge": _minedge_graph,
+}
+
+
+def generate(kind: str, n: int, seed: int = 0, p: float = 0.5):
+    """The instance of a kind in ``KINDS``: a Graph, or an iterator of
+    Graphs for free-trees."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown instance kind: {kind}")
+    return KINDS[kind](n, seed, p)

@@ -129,6 +129,7 @@ from .core import (
     initial_state,
     merge_weights,
     normalize_edge,
+    query_line,
     require_merge,
     settled,
     terminal_outcome,
@@ -169,7 +170,7 @@ class Transcript:
         return len(self.moves)
 
     def to_text(self) -> str:
-        lines = [f"QUERY {u} {v} -> {a.value}" for (u, v), a in self.moves]
+        lines = [query_line(e, a) for e, a in self.moves]
         lines.append(str(self.outcome))
         return "\n".join(lines) + "\n"
 

@@ -145,6 +145,13 @@ def min_cert(graph: Graph, coloring: str) -> CertReport:
     return tree_cert(graph, coloring) if is_tree(graph) else cert(graph, coloring)
 
 
+def colorings(n: int):
+    """Every coloring of n >= 1 vertices up to a global flip, each with
+    vertex 0 red; bit i of the counter colours vertex i + 1 red."""
+    for bits in range(1 << (n - 1)):
+        yield RED + "".join(RED if (bits >> i) & 1 else BLUE for i in range(n - 1))
+
+
 def m_nd(graph: Graph) -> int:
     """Worst-case certificate size over all colorings (up to global flip)."""
     check_solvable(graph)
@@ -153,8 +160,7 @@ def m_nd(graph: Graph) -> int:
         raise InputError(f"coloring enumeration limited to n <= {MAX_MND_N}, got n = {n}")
     upper = n - len(graph.components())
     best = 0
-    for bits in range(2 ** (n - 1)):
-        coloring = RED + "".join(RED if (bits >> i) & 1 else BLUE for i in range(n - 1))
+    for coloring in colorings(n):
         size = min_cert(graph, coloring).size
         if size > best:
             best = size

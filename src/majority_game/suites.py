@@ -1,9 +1,11 @@
 """Acceptance check suites, shared by the CLI and the test suite.
 
-Each criterion function returns a list of check records; a record carries
-a standalone reproduction command.  Values asserted here are exact
-integers.  Suites group the criteria: paper-values (1-4), properties
-(5, 6, 10), adversaries (7), constructions (8), nondet (9).
+Each criterion function takes the suite's seed, which a criterion with no
+random draws ignores, and returns a list of check records; a record
+carries a standalone reproduction command.  Values asserted here are
+exact integers.  ``SUITES`` is the one place that groups the criteria
+into suites: the command line's suite names, ``run_suite`` and the
+repro commands that rerun a whole suite all read it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .graphsolver import forced_queries, solve_graph
 
 @dataclass
 class CheckRecord:
-    suite: str
     name: str
     ok: bool
     detail: str
@@ -34,22 +35,23 @@ class CheckRecord:
         return f"[{mark}] {self.name}: {self.detail}  (repro: {self.repro})"
 
 
-def _rec(suite, name, ok, detail, repro) -> CheckRecord:
-    return CheckRecord(suite, name, bool(ok), detail, repro)
+def _rerun(criterion, seed: int | None = None) -> str:
+    """The command that reruns the suite holding ``criterion``."""
+    name = next(name for name, criteria in SUITES.items() if criterion in criteria)
+    return f"majority-game run-suite {name}" + ("" if seed is None else f" --seed {seed}")
 
 
 # -- criterion 1: complete graphs / all-ones vectors -----------------------
 
 
-def criterion_1() -> list[CheckRecord]:
+def criterion_1(seed: int = 0) -> list[CheckRecord]:
     recs = []
     bad = [
         k for k in range(1, 19)
         if weighted.solve_weighted((1,) * k) != k - popcount(k)
     ]
     recs.append(
-        _rec(
-            "paper-values",
+        CheckRecord(
             "C1 all-ones vectors",
             not bad,
             f"m(1^k) = k-b(k) for k=1..18; mismatches: {bad}",
@@ -61,8 +63,7 @@ def criterion_1() -> list[CheckRecord]:
         if solve_graph(generators.complete_graph(n)).value != n - popcount(n)
     ]
     recs.append(
-        _rec(
-            "paper-values",
+        CheckRecord(
             "C1 complete graphs",
             not bad,
             f"m(K_n) = n-b(n) for n=1..10; mismatches: {bad}",
@@ -75,7 +76,7 @@ def criterion_1() -> list[CheckRecord]:
 # -- criterion 2: paths -----------------------------------------------------
 
 
-def criterion_2() -> list[CheckRecord]:
+def criterion_2(seed: int = 0) -> list[CheckRecord]:
     recs = []
     bad = []
     for n in range(3, 14, 2):
@@ -83,8 +84,7 @@ def criterion_2() -> list[CheckRecord]:
         if got != n - popcount(n):
             bad.append((n, got))
     recs.append(
-        _rec(
-            "paper-values",
+        CheckRecord(
             "C2 odd paths n<=13",
             not bad,
             f"m(P_n) = n-b(n) for odd n in 3..13; mismatches: {bad}",
@@ -97,8 +97,7 @@ def criterion_2() -> list[CheckRecord]:
         if got != n - 1:
             bad.append((n, got))
     recs.append(
-        _rec(
-            "paper-values",
+        CheckRecord(
             "C2 even paths n<=14",
             not bad,
             f"m(P_n) = n-1 for even n <= 14; mismatches: {bad}",
@@ -107,8 +106,7 @@ def criterion_2() -> list[CheckRecord]:
     )
     got = solve_graph(generators.path_graph(15)).value
     recs.append(
-        _rec(
-            "paper-values",
+        CheckRecord(
             "C2 P15",
             got == 12,
             f"m(P_15) = {got}, expected 12",
@@ -121,19 +119,18 @@ def criterion_2() -> list[CheckRecord]:
 # -- criterion 3: even trees ------------------------------------------------
 
 
-def criterion_3() -> list[CheckRecord]:
+def criterion_3(seed: int = 0) -> list[CheckRecord]:
     recs = []
     for n in (4, 6, 8, 10):
         trees = list(generators.free_trees(n))
         values = [solve_graph(g).value for g in trees]
         bad = [i for i, v in enumerate(values) if v != n - 1]
         recs.append(
-            _rec(
-                "paper-values",
+            CheckRecord(
                 f"C3 even trees n={n}",
                 not bad,
                 f"{len(trees)} free trees, all m(T) = {n - 1}; failing indices: {bad}",
-                f"majority-game run-suite paper-values",
+                _rerun(criterion_3),
             )
         )
     return recs
@@ -142,12 +139,11 @@ def criterion_3() -> list[CheckRecord]:
 # -- criterion 4: named weighted vectors -------------------------------------
 
 
-def criterion_4() -> list[CheckRecord]:
+def criterion_4(seed: int = 0) -> list[CheckRecord]:
     recs = []
     w = (1, 2, 3, 4, 5, 6, 7)
     recs.append(
-        _rec(
-            "paper-values",
+        CheckRecord(
             "C4 m(1..7)",
             weighted.solve_weighted(w) == 5 and bounds.count_balanced(w) == 8,
             f"m{w} = {weighted.solve_weighted(w)} (want 5), balanced colorings ="
@@ -156,8 +152,7 @@ def criterion_4() -> list[CheckRecord]:
         )
     )
     recs.append(
-        _rec(
-            "paper-values",
+        CheckRecord(
             "C4 m(3,3,7,8,9)",
             weighted.solve_weighted((3, 3, 7, 8, 9)) == 4,
             f"m(3,3,7,8,9) = {weighted.solve_weighted((3, 3, 7, 8, 9))} (want 4)",
@@ -173,8 +168,7 @@ def criterion_4() -> list[CheckRecord]:
         and CertificateSource.SULY1FORMA_II in certs2
     )
     recs.append(
-        _rec(
-            "paper-values",
+        CheckRecord(
             "C4 equal-head certificates",
             ok,
             f"m(3,3,5,5,5) = {m2} >= 3; certificates {sorted(c.value for c in certs1)} /"
@@ -213,19 +207,17 @@ def criterion_5(seed: int = 0) -> list[CheckRecord]:
         if mu_p is not bounds.MU_INFINITE and mu_p <= 2 and m != len(w) - mu_p:
             mu_mismatch.append((w, m, mu_p))
     return [
-        _rec(
-            "properties",
+        CheckRecord(
             "C5 certificate soundness",
             not unsound,
             f"500 random vectors (seed {seed}): unsound certificates: {unsound[:3]}",
-            f"majority-game run-suite properties --seed {seed}",
+            _rerun(criterion_5, seed),
         ),
-        _rec(
-            "properties",
+        CheckRecord(
             "C5 mu(p)<=2 equality",
             not mu_mismatch,
             f"m = k - mu(p) whenever mu(p) <= 2; mismatches: {mu_mismatch[:3]}",
-            f"majority-game run-suite properties --seed {seed}",
+            _rerun(criterion_5, seed),
         ),
     ]
 
@@ -233,7 +225,7 @@ def criterion_5(seed: int = 0) -> list[CheckRecord]:
 # -- criterion 6: terminal/relevance equivalence ----------------------------
 
 
-def criterion_6() -> list[CheckRecord]:
+def criterion_6(seed: int = 0) -> list[CheckRecord]:
     vectors = weighted.weight_multisets(12)
     vectors += [v + (0,) for v in vectors[:200]]
     failures: dict[str, list] = {"equiv": [], "threshold": [], "survival": [], "drop": [], "pair": []}
@@ -280,12 +272,11 @@ def criterion_6() -> list[CheckRecord]:
         ("drop", "some answer loses at most two relevant balls"),
     ):
         recs.append(
-            _rec(
-                "properties",
+            CheckRecord(
                 f"C6 {label}",
                 not failures[key],
                 f"{len(vectors)} vectors with sum <= 12; failures: {failures[key][:3]}",
-                "majority-game run-suite properties",
+                _rerun(criterion_6),
             )
         )
     return recs
@@ -305,13 +296,12 @@ def criterion_7(seed: int = 0) -> list[CheckRecord]:
     trees = [g for n in range(2, 9) for g in generators.free_trees(n)] + c7_random_trees(seed)
     bad = [(g.n, g.sorted_edges) for g in trees if not adv.verify_treelemma_all_orders(g)]
     recs.append(
-        _rec(
-            "adversaries",
+        CheckRecord(
             "C7 weight-discipline conditions",
             not bad,
             f"lemma conditions hold in every state of every query order on all free trees"
             f" n <= 8 and 24 random trees n = 9..14; failures: {bad[:2]}",
-            f"majority-game run-suite adversaries --seed {seed}",
+            _rerun(criterion_7, seed),
         )
     )
     bad = []
@@ -321,12 +311,11 @@ def criterion_7(seed: int = 0) -> list[CheckRecord]:
             if got != n - 1:
                 bad.append((n, got, g.sorted_edges))
     recs.append(
-        _rec(
-            "adversaries",
+        CheckRecord(
             "C7 forced queries on even trees",
             not bad,
             f"weight-discipline adversary forces n-1 on all even free trees n <= 12; failures: {bad[:2]}",
-            f"majority-game run-suite adversaries --seed {seed}",
+            _rerun(criterion_7, seed),
         )
     )
     bad = []
@@ -337,13 +326,12 @@ def criterion_7(seed: int = 0) -> list[CheckRecord]:
             except AssertionError:
                 bad.append((n, g.sorted_edges))
     recs.append(
-        _rec(
-            "adversaries",
+        CheckRecord(
             "C7 even-tree colorings",
             not bad,
             "balanced colorings with every edge-cut unbalanced on all even free trees n <= 12"
             f"; failures: {bad[:2]}",
-            f"majority-game run-suite adversaries --seed {seed}",
+            _rerun(criterion_7, seed),
         )
     )
     rng = random.Random(seed + 1)
@@ -357,12 +345,11 @@ def criterion_7(seed: int = 0) -> list[CheckRecord]:
         if report.violations:
             violations.append((trial, n, report.violations[:2]))
     recs.append(
-        _rec(
-            "adversaries",
+        CheckRecord(
             "C7 odd-tree adversary playback",
             not violations,
             f"100 random trees (n <= 31, seed {seed + 1}): violations: {violations[:2]}",
-            f"majority-game run-suite adversaries --seed {seed}",
+            _rerun(criterion_7, seed),
         )
     )
     return recs
@@ -371,7 +358,7 @@ def criterion_7(seed: int = 0) -> list[CheckRecord]:
 # -- criterion 8: the sparse construction ------------------------------------
 
 
-def criterion_8() -> list[CheckRecord]:
+def criterion_8(seed: int = 0) -> list[CheckRecord]:
     recs = []
     bad_budget, bad_verify = [], []
     for n in range(4, 17):
@@ -384,8 +371,7 @@ def criterion_8() -> list[CheckRecord]:
         if not report.passed:
             bad_verify.append((n, report.max_queries, report.failure_path[:3]))
     recs.append(
-        _rec(
-            "constructions",
+        CheckRecord(
             "C8 edge budget",
             not bad_budget,
             f"|E| <= n(1+b(n)) for n=4..16; failures: {bad_budget}",
@@ -393,8 +379,7 @@ def criterion_8() -> list[CheckRecord]:
         )
     )
     recs.append(
-        _rec(
-            "constructions",
+        CheckRecord(
             "C8 querier within n-b(n)",
             not bad_verify,
             f"exhaustive answer-tree verification for n=4..16; failures: {bad_verify[:2]}",
@@ -407,8 +392,7 @@ def criterion_8() -> list[CheckRecord]:
         if got != n - popcount(n):
             bad.append((n, got))
     recs.append(
-        _rec(
-            "constructions",
+        CheckRecord(
             "C8 exact value",
             not bad,
             f"m(G_n) = n-b(n) for n=4..12; failures: {bad}",
@@ -429,8 +413,7 @@ def criterion_9(seed: int = 0) -> list[CheckRecord]:
         if got != n - 1:
             bad.append((n, got))
     recs.append(
-        _rec(
-            "nondet",
+        CheckRecord(
             "C9 even paths",
             not bad,
             f"m_nd(P_n) = n-1 for even n <= 12; failures: {bad}",
@@ -440,15 +423,13 @@ def criterion_9(seed: int = 0) -> list[CheckRecord]:
     bad = []
     for n in range(1, 12):
         g = generators.path_graph(n)
-        for bits in range(2 ** max(0, n - 1)):
-            coloring = "R" + "".join("R" if (bits >> i) & 1 else "B" for i in range(n - 1))
+        for coloring in nondet.colorings(n):
             a = nondet.path_cert(coloring)
             b = nondet.cert(g, coloring)
             if a != b:
                 bad.append((coloring, a.size, b.size))
     recs.append(
-        _rec(
-            "nondet",
+        CheckRecord(
             "C9 path DP agrees with brute force",
             not bad,
             f"path_cert(c) == cert(P_n, c) on all colorings of P_n, n <= 11;"
@@ -459,8 +440,7 @@ def criterion_9(seed: int = 0) -> list[CheckRecord]:
     hard = nondet.nondet_hard_coloring(4)
     size = nondet.path_cert(hard).size
     recs.append(
-        _rec(
-            "nondet",
+        CheckRecord(
             "C9 hard coloring lower bound",
             size >= 8,
             f"cert(P_17, batch coloring) = {size} >= 8",
@@ -480,13 +460,12 @@ def criterion_9(seed: int = 0) -> list[CheckRecord]:
         if len(qs) > n - math.isqrt(n) / 5:
             bad.append((trial, n, len(qs)))
     recs.append(
-        _rec(
-            "nondet",
+        CheckRecord(
             "C9 constructed query sets",
             not bad,
             f"1000 random odd paths (n <= 201, seed {seed}): all certify and save"
             f" >= floor(sqrt(n))/5 queries; failures: {bad[:3]}",
-            f"majority-game run-suite nondet --seed {seed}",
+            _rerun(criterion_9, seed),
         )
     )
     return recs
@@ -511,12 +490,11 @@ def criterion_10(seed: int = 0) -> list[CheckRecord]:
         if solve_graph(g_super).value > solve_graph(g_sub).value:
             bad.append((n, sorted(g_sub.edges), sorted(g_super.edges)))
     recs = [
-        _rec(
-            "properties",
+        CheckRecord(
             "C10 edge monotonicity",
             not bad,
             f"200 nested solvable pairs (seed {seed}); violations: {bad[:1]}",
-            f"majority-game run-suite properties --seed {seed}",
+            _rerun(criterion_10, seed),
         )
     ]
     bad_scale, bad_zero = [], []
@@ -528,28 +506,27 @@ def criterion_10(seed: int = 0) -> list[CheckRecord]:
             if weighted.solve_weighted(tuple(c * x for x in w)) != m:
                 bad_scale.append((w, c))
     recs.append(
-        _rec(
-            "properties",
+        CheckRecord(
             "C10 scale and zero-removal invariance",
             not (bad_scale or bad_zero),
             f"all vectors with sum <= 12; scale failures: {bad_scale[:3]},"
             f" zero failures: {bad_zero[:3]}",
-            "majority-game run-suite properties",
+            _rerun(criterion_10),
         )
     )
     return recs
 
 
 SUITES = {
-    "paper-values": lambda seed: criterion_1() + criterion_2() + criterion_3() + criterion_4(),
-    "properties": lambda seed: criterion_5(seed=seed) + criterion_6() + criterion_10(seed=seed),
-    "adversaries": lambda seed: criterion_7(seed=seed),
-    "constructions": lambda seed: criterion_8(),
-    "nondet": lambda seed: criterion_9(seed=seed),
+    "paper-values": (criterion_1, criterion_2, criterion_3, criterion_4),
+    "properties": (criterion_5, criterion_6, criterion_10),
+    "adversaries": (criterion_7,),
+    "constructions": (criterion_8,),
+    "nondet": (criterion_9,),
 }
 
 
 def run_suite(name: str, seed: int = 0) -> list[CheckRecord]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    return SUITES[name](seed)
+    return [r for criterion in SUITES[name] for r in criterion(seed=seed)]

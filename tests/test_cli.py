@@ -1,17 +1,19 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import argparse
+import dataclasses
 import hashlib
 import io
 import json
 
 import pytest
 
-from majority_game import cli, weighted
+from majority_game import cli, generators, weighted
 from majority_game.cli import main
 from majority_game.constructions import build_minedge_graph
 from majority_game.core import Graph, StrategyError
 from majority_game.generators import path_graph, random_tree, star_graph
-from majority_game.graphsolver import clear_quotient_cache
+from majority_game.graphsolver import SolveResult, clear_quotient_cache
 
 
 @pytest.fixture
@@ -52,6 +54,12 @@ def test_solve_graph_from_file(capsys, path6_file):
     assert payload["value"] == 5 and payload["n"] == 6 and payload["m"] == 5
     assert payload["canonical"] == "path" and payload["table_entries"] > 0
     assert 0 < payload["bound_entries"] < payload["table_entries"]
+
+
+def test_solve_graph_json_is_the_solve_result(capsys, path6_file):
+    code, out = run_cli(capsys, ["solve-graph", path6_file, "--json"])
+    assert code == 0
+    assert set(json.loads(out)) == {f.name for f in dataclasses.fields(SolveResult)} | {"n", "m"}
 
 
 def test_solve_graph_json_counts_upper_bound_closings(capsys, tmp_path):
@@ -320,6 +328,17 @@ def test_forced_subcommand(capsys, path6_file):
     assert payloads[0]["forced_queries"] == 5 and payloads[0]["quotient_states"] == 14
 
 
+@pytest.mark.parametrize("kind", list(generators.KINDS))
+def test_generate_kinds_are_the_table(capsys, kind):
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    [kind_arg] = [a for a in sub.choices["generate"]._actions if a.dest == "kind"]
+    assert kind_arg.choices == list(generators.KINDS)
+    code, out = run_cli(capsys, ["generate", kind, "6"])
+    assert code == 0
+    graphs = [Graph.from_text(text) for text in out.split("\n\n")]
+    assert graphs and all(g.n == 6 for g in graphs)
+
+
 def test_generate_free_trees_stream(capsys):
     code, out = run_cli(capsys, ["generate", "free-trees", "5"])
     assert code == 0
@@ -357,6 +376,7 @@ def test_run_suite_constructions(capsys):
     assert code == 0
     records = [json.loads(line) for line in out.splitlines()]
     assert all(r["ok"] for r in records)
+    assert all(r["suite"] == "constructions" for r in records)
     assert all("repro" in r for r in records)
     assert all(isinstance(r["seconds"], float) and r["seconds"] >= 0 for r in records)
     # the human-readable report carries no time

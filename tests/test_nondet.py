@@ -30,6 +30,7 @@ from majority_game.nondet import (
     CertReport,
     _query_set_cuts,
     cert,
+    colorings,
     induced_outcome,
     m_nd,
     nondet_hard_coloring,
@@ -37,6 +38,14 @@ from majority_game.nondet import (
     path_cert,
     tree_cert,
 )
+
+
+def test_colorings_cover_each_flip_class_once():
+    flip = str.maketrans("RB", "BR")
+    for n in range(1, 9):
+        got = list(colorings(n))
+        assert len(got) == 2 ** (n - 1) and all(c[0] == "R" for c in got)
+        assert set(got) | {c.translate(flip) for c in got} == {"".join(c) for c in itertools.product("RB", repeat=n)}
 
 
 def test_cert_examples():

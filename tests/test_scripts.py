@@ -4,7 +4,10 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 from majority_game.bounds import popcount
+from majority_game.nondet import MAX_MND_N
 
 
 def load_script(name):
@@ -63,3 +66,14 @@ def test_search_open_questions_smoke(capsys):
     pattern = r"\d+\.\ds, memo [1-9]\d* states; \d+\.\ds, visited (\d+) states\)"
     visited = [int(re.fullmatch(pattern, s).group(1)) for s in stats]
     assert visited == sorted(visited) and visited[-1] > 0  # one set, shared across n
+
+
+def test_search_open_questions_rejects_mnd_bound_above_the_limit(capsys):
+    # the bound is refused before any section runs, not after m_nd's last n
+    argv = ["--max-tree-n", "0", "--max-total", "0", "--max-path-n", "0", "--max-even-n", "0",
+            "--max-mnd-n", str(MAX_MND_N + 1), "--max-verify-n", "0"]
+    with pytest.raises(SystemExit) as exc:
+        load_script("search_open_questions").main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"limited to {MAX_MND_N}" in captured.err
