@@ -5,6 +5,16 @@ lower-bound lemma on a weight vector and, when it holds, records the
 concluded bound.  Bounds are always sound (testable against the exact
 solver); the lemmas themselves are not re-proved here.
 
+The eight power-of-two-head sources (SULY1_I/II, SULY1COR_I/II, SULY2_I/II,
+SULY2COR and O1G) are one rule, `_head_rule`, with c in {0, 1, 3}: a total
+of 2*p2 + c with p2 = 2^n, more than p2 + d balls for d = (c + 1) // 2 when
+c > 0, and a head of weight p2 drawn from a pool of power-of-two balls give
+the bound k - 1 - d.  The sources differ in c and the pool, and the
+pair-revealing ones apply the rule after setting unit balls aside.  The head
+is filled greedily from the largest ball down, which is exact: each ball of
+at most p2 divides p2 and every gap left, so the fill fails only when the
+pool's balls of at most p2 sum to less than p2.
+
 All counting uses unbounded integers.  Zero-weight balls are stripped
 before any lemma hypothesis is evaluated: removing a weight-0 ball never
 changes the game value, and the lemma premises silently assume positive
@@ -32,6 +42,7 @@ from .weighted import (
 )
 
 MU_INFINITE = math.inf
+OBS_MAX_STATES = 4000  # split vectors the hardness search visits at most
 
 
 class CertificateSource(str, enum.Enum):
@@ -116,37 +127,42 @@ def dectree_bound(weights) -> Certificate:
     return max(candidates, key=lambda c: c.bound, default=Certificate(0, CertificateSource.TRIVIAL, {}))
 
 
-def _powers_of_two_up_to(limit: int):
-    p = 1
-    while p <= limit:
-        yield p
-        p *= 2
+def _fill_head(pool, p2: int):
+    """A sub-multiset of the power-of-two balls in `pool` summing to the
+    power of two p2, filled greedily from the largest ball down, or None."""
+    head, gap = [], p2
+    for x in sorted(pool, reverse=True):
+        if x <= gap:
+            head.append(x)
+            gap -= x
+    return None if gap else head
 
 
-def _subset_sum_multiset(values, target: int):
-    """A sub-multiset of `values` summing to `target`, or None."""
-    if target == 0:
-        return []
-    reach: dict[int, list[int]] = {0: []}
-    for v in sorted(values, reverse=True):
-        for s in sorted(reach):
-            t = s + v
-            if t <= target and t not in reach:
-                reach[t] = reach[s] + [v]
-        if target in reach:
-            return sorted(reach[target], reverse=True)
-    return reach.get(target)
+def _head_rule(w: WeightVector, c: int, pool):
+    """The power-of-two-head rule with c in {0, 1, 3}: (k - 1 - d, n, head)
+    when total - c = 2*p2 for p2 = 2^n >= 1, k > p2 + d with d = (c + 1) // 2
+    (no count when c = 0) and `pool` holds a head of weight p2; else None."""
+    p2, odd = divmod(sum(w) - c, 2)
+    d = (c + 1) // 2
+    if odd or p2 < 1 or p2 & (p2 - 1) or (c and len(w) <= p2 + d):
+        return None
+    head = _fill_head(pool, p2)
+    return None if head is None else (len(w) - 1 - d, p2.bit_length() - 1, head)
+
+
+# each lemma's two parts, indexed by c = total mod 2
+_UNIT_HEAD = (CertificateSource.SULY1_I, CertificateSource.SULY1_II)
+_UNIT_HEAD_PAIRS = (CertificateSource.SULY1COR_I, CertificateSource.SULY1COR_II)
+_POWER_HEAD = (CertificateSource.SULY2_I, CertificateSource.SULY2_II)
 
 
 def _suly1(w: WeightVector, certs: list[Certificate]) -> None:
-    """Unit-head lemma: a total of 2^(n+1) + r, r = 0 or 1, with at least
-    2^n unit balls and more than 2^n + r balls, concludes k - 1 - r."""
-    k, total = len(w), sum(w)
-    r = total & 1
-    p2 = (total - r) // 2
-    if p2 and p2 & (p2 - 1) == 0 and w.count(1) >= p2 and k > p2 + r:
-        source = CertificateSource.SULY1_II if r else CertificateSource.SULY1_I
-        certs.append(Certificate(k - 1 - r, source, {"n": p2.bit_length() - 1}))
+    """Unit-head lemma: the head rule with c = total mod 2 and the head
+    taken from the unit balls, the tail of the descending w."""
+    r = sum(w) & 1
+    hit = _head_rule(w, r, w[len(w) - w.count(1):])
+    if hit is not None:
+        certs.append(Certificate(hit[0], _UNIT_HEAD[r], {"n": hit[1]}))
 
 
 def _equal_heads(w: WeightVector):
@@ -155,9 +171,10 @@ def _equal_heads(w: WeightVector):
     slice."""
     for a in sorted(set(w), reverse=True):
         start = w.index(a)
-        for p2 in _powers_of_two_up_to(w.count(a)):
+        for n in range(w.count(a).bit_length()):
+            p2 = 1 << n
             if len(w) > p2 + 1:
-                yield a, p2, p2.bit_length() - 1, w[:start] + w[start + p2:]
+                yield a, p2, n, w[:start] + w[start + p2:]
 
 
 def _suly1forma_i(w: WeightVector, certs: list[Certificate]) -> None:
@@ -192,82 +209,41 @@ def _suly1forma_ii(w: WeightVector, certs: list[Certificate]) -> None:
 
 
 def _suly1cor(w: WeightVector, certs: list[Certificate]) -> None:
-    """Reveal 2s unit balls in color-balanced pairs, then fall back to the
-    unit-head lemma on the remainder."""
-    k, total = len(w), sum(w)
-    ones = w.count(1)
-    best_i = best_ii = None
-    for p2 in _powers_of_two_up_to(max(ones, 1)):
-        n = p2.bit_length() - 1
-        rem = total - 2 * p2
-        if rem >= 2 and rem % 2 == 0:
-            s = rem // 2
-            if ones >= p2 + 2 * s:
-                cand = Certificate(k - 1 - s, CertificateSource.SULY1COR_I, {"n": n, "s": s})
-                if best_i is None or cand.bound > best_i.bound:
-                    best_i = cand
-        rem = total - 2 * p2 - 1
-        if rem >= 2 and rem % 2 == 0:
-            s = rem // 2
-            if ones >= p2 + 2 * s and (not w or w[0] != p2 + 1):
-                cand = Certificate(k - 2 - s, CertificateSource.SULY1COR_II, {"n": n, "s": s})
-                if best_ii is None or cand.bound > best_ii.bound:
-                    best_ii = cand
-    for cand in (best_i, best_ii):
-        if cand is not None and cand.bound > 0:
-            certs.append(cand)
+    """Reveal 2s unit balls, s >= 1, in color-balanced pairs and apply the
+    unit-head lemma to the rest; its bound k - 2s - 1 - d plus the s pair
+    queries gives k - 1 - d - s.  The rest's head p2 = (total - r)/2 - s,
+    r = total mod 2, must be a power of two, and the rule needs p2 + 2s of
+    the unit balls, more as p2 shrinks: only the largest p2 that leaves
+    s >= 1 can hold, and it gives the best bound."""
+    k, ones, total = len(w), w.count(1), sum(w)
+    r, half = total & 1, total // 2
+    if half < 2:
+        return
+    s = half - (1 << ((half - 1).bit_length() - 1))  # p2 is the largest power of two below half
+    hit = _head_rule(w[: k - 2 * s], r, w[k - ones: k - 2 * s]) if 2 * s <= ones else None
+    if hit is not None:
+        certs.append(Certificate(hit[0] + s, _UNIT_HEAD_PAIRS[r], {"n": hit[1], "s": s}))
 
 
 def _suly2(w: WeightVector, certs: list[Certificate]) -> None:
-    k, total = len(w), sum(w)
-    pow2_balls = [x for x in w if x & (x - 1) == 0]
-    if total >= 2 and total & (total - 1) == 0:
-        p2 = total // 2
-        head = _subset_sum_multiset(pow2_balls, p2)
-        if head is not None:
-            certs.append(
-                Certificate(k - 1, CertificateSource.SULY2_I, {"n": p2.bit_length() - 1, "head": head})
-            )
-    if total >= 3 and (total - 1) & (total - 2) == 0:
-        p2 = (total - 1) // 2
-        if k > p2 + 1:
-            head = _subset_sum_multiset(pow2_balls, p2)
-            if head is not None:
-                certs.append(
-                    Certificate(k - 2, CertificateSource.SULY2_II, {"n": p2.bit_length() - 1, "head": head})
-                )
+    """Power-of-two-head lemma: the head rule with c = total mod 2 and the
+    head taken from the power-of-two balls."""
+    r = sum(w) & 1
+    hit = _head_rule(w, r, [x for x in w if x & (x - 1) == 0])
+    if hit is not None:
+        certs.append(Certificate(hit[0], _POWER_HEAD[r], {"n": hit[1], "head": hit[2]}))
 
 
-def _suly2cor(w: WeightVector, certs: list[Certificate]) -> None:
-    k, total = len(w), sum(w)
-    if total < 5 or (total - 3) & (total - 4) != 0:
-        return
-    p2 = (total - 3) // 2
-    if k <= p2 + 2 or 1 not in w:
-        return
-    # one unit ball must stay outside the power-of-two head
-    pow2_balls = [x for x in w if x & (x - 1) == 0]
-    pow2_balls.remove(1)
-    head = _subset_sum_multiset(pow2_balls, p2)
-    if head is not None:
-        certs.append(
-            Certificate(k - 3, CertificateSource.SULY2COR, {"n": p2.bit_length() - 1, "head": head})
-        )
-
-
-def _o1g(w: WeightVector, certs: list[Certificate]) -> None:
-    k, total = len(w), sum(w)
-    if total < 5 or (total - 3) & (total - 4) != 0:
-        return
-    p2 = (total - 3) // 2
-    if k <= p2 + 2:
-        return
-    small = [x for x in w if x in (1, 2)]
-    head = _subset_sum_multiset(small, p2)
-    if head is not None:
-        certs.append(
-            Certificate(k - 3, CertificateSource.O1G, {"n": p2.bit_length() - 1, "head": head})
-        )
+def _suly2_corollaries(w: WeightVector, certs: list[Certificate]) -> None:
+    """The head rule with c = 3.  SULY2COR takes the head from the
+    power-of-two balls but one unit ball, which w must hold (w is
+    descending, so that is its last ball, and without it the pool is empty);
+    O1G takes the head from the 1s and 2s."""
+    spare = [x for x in w[:-1] if x & (x - 1) == 0] if w[-1] == 1 else []
+    for source, pool in ((CertificateSource.SULY2COR, spare), (CertificateSource.O1G, [x for x in w if x <= 2])):
+        hit = _head_rule(w, 3, pool)
+        if hit is not None:
+            certs.append(Certificate(hit[0], source, {"n": hit[1], "head": hit[2]}))
 
 
 def _base_hard_certificate(w: WeightVector) -> Certificate | None:
@@ -284,24 +260,18 @@ def _base_hard_certificate(w: WeightVector) -> Certificate | None:
         _suly1forma_ii(w, certs)
     _suly2(w, certs)
     level = hard_level(w)
-    for c in certs:
-        if c.bound == level:
-            return c
-    return None
+    return next((c for c in certs if c.bound == level), None)
 
 
-def _obs_reduction(w: WeightVector, certs: list[Certificate], max_states: int = 4000) -> None:
+def _obs_reduction(w: WeightVector, certs: list[Certificate]) -> None:
     """Forward hardness propagation: splitting a ball of weight 2a into two
     balls of weight a undoes one merge of equal weights, and hardness of the
     split vector implies hardness of the merged one.  Search split chains of
-    w for a vector certified hard by the base lemmas."""
-    start = tuple(sorted(w, reverse=True))
-    if not start:
-        return
-    level = hard_level(start)
-    frontier = deque([(start, [])])
-    seen = {start}
-    while frontier and len(seen) < max_states:
+    the descending w for a vector certified hard by the base lemmas."""
+    level = hard_level(w)
+    frontier = deque([(w, [])])
+    seen = {w}
+    while frontier and len(seen) < OBS_MAX_STATES:
         vec, chain = frontier.popleft()
         if chain:  # the unsplit vector is covered by the direct lemma checks
             base = _base_hard_certificate(vec)
@@ -338,8 +308,7 @@ def certify_lower_bound(weights) -> list[Certificate]:
     _suly1forma_ii(w, certs)
     _suly1cor(w, certs)
     _suly2(w, certs)
-    _suly2cor(w, certs)
-    _o1g(w, certs)
+    _suly2_corollaries(w, certs)
     _obs_reduction(w, certs)
     best: dict[CertificateSource, Certificate] = {}
     for c in certs:
@@ -372,9 +341,7 @@ def search_obs_reverse_counterexample(max_total: int = 14, allow_terminal: bool 
         for a in set(w):
             if w.count(a) < 2:
                 continue
-            merged = tuple(
-                sorted(list(w[: w.index(a)] + w[w.index(a) + 2:]) + [2 * a], reverse=True)
-            )
+            merged = normalize(w[: w.index(a)] + w[w.index(a) + 2:] + (2 * a,))
             if not allow_terminal and weighted_terminal(strip_zeros(merged)) is not None:
                 continue
             if is_hard(merged) and not is_hard(w):

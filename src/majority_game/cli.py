@@ -233,6 +233,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_play(args) -> int:
+    if args.graph == "-":
+        raise InputError("play reads its queries on stdin: give the graph as a file, not -")
     graph = _load_graph(args.graph)
     game = Game(graph, _ADVERSARIES[args.adversary](graph, args))
     print(f"# majority game on n={graph.n}, m={len(graph.edges)}; "

@@ -79,6 +79,8 @@ def random_tree(n: int, seed: int = 0) -> Graph:
 
 
 def random_graph(n: int, p: float, seed: int = 0) -> Graph:
+    if not 0 <= p <= 1:
+        raise InputError(f"the edge probability must lie in [0, 1], got {p}")
     rng = random.Random(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)

@@ -284,6 +284,8 @@ class GraphSolver:
         check_solvable(graph)
         if graph.n >= MAX_SOLVER_N:
             raise InputError(f"solver supports n < {MAX_SOLVER_N}, got n = {graph.n}")
+        if table_cap is not None and table_cap < 0:
+            raise InputError(f"the table cap must be non-negative, got {table_cap}")
         self.graph = graph
         self.n = graph.n
         self.shift = graph.n.bit_length()

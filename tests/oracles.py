@@ -7,6 +7,9 @@ and the atlas inputs that several differential tests share.
   exactly, then take the smallest edge across a pair of least value;
 * the hardness base check that runs both parts of the equal-head lemma on
   every vector, whatever the parity of its total;
+* the eight power-of-two-head sources as five lemma functions, each with
+  its own premise, the head found by a subset-sum DP, and a brute-force
+  search over every sub-multiset;
 * the weighted solver that builds each move's children by copying, removing
   and sorting, with its own memo, and the optimal query and adversarial
   merge read from it;
@@ -28,14 +31,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from majority_game.bounds import (
-    Certificate,
-    CertificateSource,
-    _powers_of_two_up_to,
-    _suly1,
-    _suly2,
-    hard_level,
-)
+from majority_game.bounds import Certificate, CertificateSource, hard_level
 from majority_game.core import BLUE, RED, Answer, Graph, IllegalQueryError, Outcome, QueryState, normalize_edge
 from majority_game.graphsolver import GameView, _merge_codes, _merge_nbrs, encode_state
 from majority_game.weighted import normalize, signed_sum_counts, strip_zeros, weighted_terminal
@@ -190,13 +186,144 @@ def suly1forma_both_parts(w, certs):
                 return
 
 
+def _powers_of_two_up_to(limit: int):
+    p = 1
+    while p <= limit:
+        yield p
+        p *= 2
+
+
+def has_sub_multiset(pool, target: int) -> bool:
+    """Whether some sub-multiset of `pool` sums to `target`, trying every
+    count of every distinct value."""
+    values = sorted(set(pool))
+    choices = itertools.product(*(range(pool.count(v) + 1) for v in values))
+    return any(sum(v * c for v, c in zip(values, counts)) == target for counts in choices)
+
+
+def subset_sum_multiset(values, target: int):
+    """A sub-multiset of `values` summing to `target`, or None."""
+    if target == 0:
+        return []
+    reach: dict[int, list[int]] = {0: []}
+    for v in sorted(values, reverse=True):
+        for s in sorted(reach):
+            t = s + v
+            if t <= target and t not in reach:
+                reach[t] = reach[s] + [v]
+        if target in reach:
+            return sorted(reach[target], reverse=True)
+    return reach.get(target)
+
+
+def suly1(w, certs):
+    """Unit-head lemma: a total of 2^(n+1) + r, r = 0 or 1, with at least
+    2^n unit balls and more than 2^n + r balls, concludes k - 1 - r."""
+    k, total = len(w), sum(w)
+    r = total & 1
+    p2 = (total - r) // 2
+    if p2 and p2 & (p2 - 1) == 0 and w.count(1) >= p2 and k > p2 + r:
+        source = CertificateSource.SULY1_II if r else CertificateSource.SULY1_I
+        certs.append(Certificate(k - 1 - r, source, {"n": p2.bit_length() - 1}))
+
+
+def suly1cor(w, certs):
+    """Reveal 2s unit balls in color-balanced pairs, then fall back to the
+    unit-head lemma on the remainder; the best bound of each part."""
+    k, total = len(w), sum(w)
+    ones = w.count(1)
+    best_i = best_ii = None
+    for p2 in _powers_of_two_up_to(max(ones, 1)):
+        n = p2.bit_length() - 1
+        rem = total - 2 * p2
+        if rem >= 2 and rem % 2 == 0:
+            s = rem // 2
+            if ones >= p2 + 2 * s:
+                cand = Certificate(k - 1 - s, CertificateSource.SULY1COR_I, {"n": n, "s": s})
+                if best_i is None or cand.bound > best_i.bound:
+                    best_i = cand
+        rem = total - 2 * p2 - 1
+        if rem >= 2 and rem % 2 == 0:
+            s = rem // 2
+            if ones >= p2 + 2 * s and (not w or w[0] != p2 + 1):
+                cand = Certificate(k - 2 - s, CertificateSource.SULY1COR_II, {"n": n, "s": s})
+                if best_ii is None or cand.bound > best_ii.bound:
+                    best_ii = cand
+    for cand in (best_i, best_ii):
+        if cand is not None and cand.bound > 0:
+            certs.append(cand)
+
+
+def suly2(w, certs):
+    """Power-of-two-head lemma, a total of 2^(n+1) (part i) or 2^(n+1) + 1
+    (part ii), the head from the power-of-two balls."""
+    k, total = len(w), sum(w)
+    pow2_balls = [x for x in w if x & (x - 1) == 0]
+    if total >= 2 and total & (total - 1) == 0:
+        p2 = total // 2
+        head = subset_sum_multiset(pow2_balls, p2)
+        if head is not None:
+            certs.append(Certificate(k - 1, CertificateSource.SULY2_I, {"n": p2.bit_length() - 1, "head": head}))
+    if total >= 3 and (total - 1) & (total - 2) == 0:
+        p2 = (total - 1) // 2
+        if k > p2 + 1:
+            head = subset_sum_multiset(pow2_balls, p2)
+            if head is not None:
+                certs.append(Certificate(k - 2, CertificateSource.SULY2_II, {"n": p2.bit_length() - 1, "head": head}))
+
+
+def suly2cor(w, certs):
+    """A total of 2^(n+1) + 3: the head from the power-of-two balls with one
+    unit ball kept out."""
+    k, total = len(w), sum(w)
+    if total < 5 or (total - 3) & (total - 4) != 0:
+        return
+    p2 = (total - 3) // 2
+    if k <= p2 + 2 or 1 not in w:
+        return
+    pow2_balls = [x for x in w if x & (x - 1) == 0]
+    pow2_balls.remove(1)
+    head = subset_sum_multiset(pow2_balls, p2)
+    if head is not None:
+        certs.append(Certificate(k - 3, CertificateSource.SULY2COR, {"n": p2.bit_length() - 1, "head": head}))
+
+
+def o1g(w, certs):
+    """A total of 2^(n+1) + 3: the head from the 1s and 2s."""
+    k, total = len(w), sum(w)
+    if total < 5 or (total - 3) & (total - 4) != 0:
+        return
+    p2 = (total - 3) // 2
+    if k <= p2 + 2:
+        return
+    small = [x for x in w if x in (1, 2)]
+    head = subset_sum_multiset(small, p2)
+    if head is not None:
+        certs.append(Certificate(k - 3, CertificateSource.O1G, {"n": p2.bit_length() - 1, "head": head}))
+
+
+HEAD_SOURCES = frozenset(
+    CertificateSource[name]
+    for name in ("SULY1_I", "SULY1_II", "SULY1COR_I", "SULY1COR_II", "SULY2_I", "SULY2_II", "SULY2COR", "O1G")
+)
+
+
+def head_certificates(w):
+    """The five head lemmas' certificates on the zero-free descending w, in
+    `certify_lower_bound`'s order; each source gives at most one."""
+    certs = []
+    for lemma in (suly1, suly1cor, suly2, suly2cor, o1g):
+        lemma(w, certs)
+    return sorted(certs, key=lambda c: (-c.bound, c.source.value))
+
+
 def base_hard_certificate_both_parts(w):
     """The first certificate at the hard level among the unit-head lemma,
     both equal-head parts and the power-of-two-head lemma, or None."""
     certs = []
-    _suly1(w, certs)
+    suly1(w, certs)
     suly1forma_both_parts(w, certs)
-    _suly2(w, certs)
+    suly2(w, certs)
     level = hard_level(w)
     return next((c for c in certs if c.bound == level), None)
 

@@ -1,10 +1,18 @@
 """Counting bounds and lemma-based certificates."""
 
+import collections
+import itertools
 import math
 import random
 
 import pytest
-from oracles import base_hard_certificate_both_parts, suly1forma_both_parts
+from oracles import (
+    HEAD_SOURCES,
+    base_hard_certificate_both_parts,
+    has_sub_multiset,
+    head_certificates,
+    suly1forma_both_parts,
+)
 
 from majority_game import bounds
 from majority_game.bounds import (
@@ -26,6 +34,7 @@ from majority_game.suites import c5_vectors
 from majority_game.weighted import (
     _gf2_factors,
     _gf2_product,
+    normalize,
     solve_weighted,
     strip_zeros,
     weight_multisets,
@@ -215,3 +224,27 @@ def test_equal_head_part_ii_matches_the_counting_oracle():
     got = []
     bounds._suly1forma_ii(large[0], got)
     assert got == [Certificate(1, CertificateSource.SULY1FORMA_II, {"n": 0, "head": 10**5, "fixed_ball": 10**5 - 1})]
+
+
+def test_greedy_head_matches_the_brute_force_sub_multiset():
+    # every pool of powers of two <= 16 with at most 8 balls, against every
+    # power-of-two target <= 32
+    for size in range(9):
+        for pool in itertools.combinations_with_replacement((16, 8, 4, 2, 1), size):
+            for target in (1, 2, 4, 8, 16, 32):
+                head = bounds._fill_head(pool, target)
+                if has_sub_multiset(pool, target):
+                    assert head is not None and sum(head) == target, (pool, target)
+                    assert not collections.Counter(head) - collections.Counter(pool), (pool, target, head)
+                else:
+                    assert head is None, (pool, target, head)
+
+
+def test_head_rule_matches_the_reference_lemmas():
+    fired = collections.Counter()
+    for v in weight_multisets(20) + c5_vectors() + [(10**5, 10**5 - 1, 3)]:
+        got = [c for c in certify_lower_bound(v) if c.source in HEAD_SOURCES]
+        assert got == head_certificates(strip_zeros(normalize(v))), v
+        fired.update(c.source for c in got)
+    # each of the eight sources fires, so a rule that dies fails here
+    assert set(fired) == HEAD_SOURCES, fired

@@ -364,6 +364,27 @@ def test_play_repl(capsys, monkeypatch, tmp_path):
     assert "QUERY 0 1" in out and "OUTCOME" in out
 
 
+def test_play_rejects_the_stdin_graph(capsys):
+    # play reads its queries on stdin, so the graph cannot come from there
+    code, out = run_cli(capsys, ["play", "-"])
+    assert code == 2
+    assert out.startswith("error: ") and "stdin" in out and len(out.splitlines()) == 1
+
+
+@pytest.mark.parametrize("cap,code", [("-1", 2), ("0", 0)])
+def test_solve_graph_table_cap_must_be_non_negative(capsys, path6_file, cap, code):
+    got, out = run_cli(capsys, ["solve-graph", path6_file, "--table-cap", cap, "--json"])
+    assert got == code
+    assert ("error" in json.loads(out)) == (code == 2)
+
+
+@pytest.mark.parametrize("p", ["1.5", "-0.5"])
+def test_generate_rejects_edge_probability_outside_unit_interval(capsys, p):
+    code, out = run_cli(capsys, ["generate", "random-graph", "4", "--p", p])
+    assert code == 2
+    assert out.startswith("error: ") and len(out.splitlines()) == 1
+
+
 def test_stdin_graph(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(path_graph(7).to_text()))
     code, out = run_cli(capsys, ["solve-graph", "-", "--json"])

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from majority_game.adversary import TreelemmaAdversary
-from majority_game.core import Graph
+from majority_game.core import Graph, InputError
 from majority_game.generators import (
     FREE_TREE_COUNTS,
     complete_graph,
@@ -90,6 +90,18 @@ def test_random_graph_seeded():
     g2 = random_graph(8, 0.5, seed=1)
     assert g1 == g2
     assert g1.edges <= complete_graph(8).edges
+
+
+def test_random_graph_edge_probability():
+    # draws for p in [0, 1] are pinned; p outside it is an input error
+    assert sorted(random_graph(6, 0.3, seed=4).edges) == [
+        (0, 1), (0, 2), (0, 4), (0, 5), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)
+    ]
+    assert not random_graph(5, 0).edges
+    assert random_graph(5, 1) == complete_graph(5)
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(InputError):
+            random_graph(4, p)
 
 
 def test_tree_certificate_invariant_under_relabeling():
