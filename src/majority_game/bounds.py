@@ -15,6 +15,18 @@ is filled greedily from the largest ball down, which is exact: each ball of
 at most p2 divides p2 and every gap left, so the fill fails only when the
 pool's balls of at most p2 sum to less than p2.
 
+The equal-head lemma (SULY1FORMA_I/II) reads the parity of a count of
+signed sums of the balls outside a head of p2 = 2^n balls of weight a,
+from the product of (1 + X^x) over those balls over GF(2).  There
+(1 + X^a)^2 = 1 + X^2a, so the head divides 1 + X^h, h = a*p2, out of the
+product over all of w, and splitting a ball 2a into two balls a leaves that
+product and the total unchanged.  Every vector of w's split closure, which
+the hardness search walks, therefore has the same part-(i) parity for a
+given h and the same part-(ii) parity for a given (h, t), t the fixed ball.
+Each `certify_lower_bound` call keeps one dict from h and (h, t) to these
+parities, filled on first use and shared by the direct checks on w and the
+search; nothing outlives the call.
+
 All counting uses unbounded integers.  Zero-weight balls are stripped
 before any lemma hypothesis is evaluated: removing a weight-0 ball never
 changes the game value, and the lemma premises silently assume positive
@@ -25,12 +37,14 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from operator import neg
 
+from .core import InputError
 from .weighted import (
     WeightVector,
-    fixed_ball_parities,
     hard_level,
     normalize,
     signed_sum_counts,
@@ -75,7 +89,7 @@ class Certificate:
 def popcount(n: int) -> int:
     """Number of 1 bits in the binary representation."""
     if n < 0:
-        raise ValueError("popcount is defined for non-negative integers")
+        raise InputError("popcount is defined for non-negative integers")
     return bin(n).count("1")
 
 
@@ -177,31 +191,41 @@ def _equal_heads(w: WeightVector):
                 yield a, p2, n, w[:start] + w[start + p2:]
 
 
-def _suly1forma_i(w: WeightVector, certs: list[Certificate]) -> None:
+def _suly1forma_i(w: WeightVector, certs: list[Certificate], parities: dict | None = None) -> None:
     """Equal-head lemma, part (i): an odd number of signed partitions of the
-    remaining balls hits difference a*2^n.  A signed sum of the rest has the
-    parity of total - a*2^n, so on an odd total the window is empty and
+    remaining balls hits difference h = a*2^n.  A signed sum of the rest has
+    the parity of total - h, so on an odd total the window is empty and
     nothing is checked.  Only the parity is read: `signed_sum_parity` over
-    the window (a*2^n - 1, a*2^n], from the product of (1 + X^w) over
-    GF(2)."""
+    the window (h - 1, h], from the product of (1 + X^w) over GF(2),
+    computed once per h and kept in `parities` (see the module docstring)."""
     if sum(w) % 2:
         return
+    parities = {} if parities is None else parities
     for a, p2, n, rest in _equal_heads(w):
-        if signed_sum_parity(rest, a * p2 - 1, a * p2):
+        h = a * p2
+        if h not in parities:
+            parities[h] = signed_sum_parity(rest, h - 1, h)
+        if parities[h]:
             certs.append(Certificate(len(w) - 1, CertificateSource.SULY1FORMA_I, {"n": n, "head": a}))
             return
 
 
-def _suly1forma_ii(w: WeightVector, certs: list[Certificate]) -> None:
+def _suly1forma_ii(w: WeightVector, certs: list[Certificate], parities: dict | None = None) -> None:
     """Equal-head lemma, part (ii): with one ball t held fixed, an odd
     number of signed sums of the rest lands in the half-open window
-    (-a*2^n - t, a*2^n - t]; this is the exact condition under which the
+    (-h - t, h - t], h = a*2^n; this is the exact condition under which the
     proof's majority count is odd.  Only the parity is read, by
-    `fixed_ball_parities`, which builds the GF(2) product of (1 + X^w)
-    over the rest once per head and divides it by (1 + X^t) for each t."""
+    `signed_sum_parity` of the rest without t, computed once per (h, t)
+    and kept in `parities` (see the module docstring)."""
+    parities = {} if parities is None else parities
     for a, p2, n, rest in _equal_heads(w):
-        for t, odd in fixed_ball_parities(rest, -a * p2, a * p2):
-            if odd:
+        h = a * p2
+        for t in sorted(set(rest), reverse=True):
+            if (h, t) not in parities:
+                others = list(rest)
+                others.remove(t)
+                parities[h, t] = signed_sum_parity(others, -h - t, h - t)
+            if parities[h, t]:
                 certs.append(
                     Certificate(len(w) - 2, CertificateSource.SULY1FORMA_II, {"n": n, "head": a, "fixed_ball": t})
                 )
@@ -246,54 +270,67 @@ def _suly2_corollaries(w: WeightVector, certs: list[Certificate]) -> None:
             certs.append(Certificate(hit[0], source, {"n": hit[1], "head": hit[2]}))
 
 
-def _base_hard_certificate(w: WeightVector) -> Certificate | None:
+def _base_hard_certificate(w: WeightVector, parities: dict | None = None) -> Certificate | None:
     """A certificate proving the zero-free vector w is hard, if one of the
     equality-grade lemma hypotheses holds.
 
     Only a bound equal to `hard_level` counts.  The equal-head lemma's part
     (i) concludes k-1 and holds only on an even total; part (ii) concludes
-    k-2, the level of an odd total, so it is checked only there."""
+    k-2, the level of an odd total, so it is checked only there.  The part
+    that runs reads and fills `parities`."""
     certs: list[Certificate] = []
     _suly1(w, certs)
-    _suly1forma_i(w, certs)
+    _suly1forma_i(w, certs, parities)
     if sum(w) % 2:
-        _suly1forma_ii(w, certs)
+        _suly1forma_ii(w, certs, parities)
     _suly2(w, certs)
     level = hard_level(w)
     return next((c for c in certs if c.bound == level), None)
 
 
-def _obs_reduction(w: WeightVector, certs: list[Certificate]) -> None:
+def _obs_reduction(w: WeightVector, certs: list[Certificate], parities: dict | None = None) -> None:
     """Forward hardness propagation: splitting a ball of weight 2a into two
     balls of weight a undoes one merge of equal weights, and hardness of the
     split vector implies hardness of the merged one.  Search split chains of
-    the descending w for a vector certified hard by the base lemmas."""
+    the descending w, breadth first, for a vector certified hard by the base
+    lemmas.
+
+    Over GF(2), (1 + X^a)^2 = 1 + X^2a, so a split leaves the product of
+    (1 + X^x) over the balls, and the total, unchanged: every vector of the
+    search has w's product.  A head of weight h = a*2^n divides out 1 + X^h,
+    so each equal-head parity depends only on h (part (i)) or on h and the
+    fixed ball t (part (ii)), and one `parities` dict serves the whole
+    search.  Each vector keeps only a link to the vector it was split from;
+    the chain is built from those links once a base certificate is found,
+    and each split child is the parent with the two halves spliced in at
+    their sorted place."""
+    parities = {} if parities is None else parities
     level = hard_level(w)
-    frontier = deque([(w, [])])
-    seen = {w}
-    while frontier and len(seen) < OBS_MAX_STATES:
-        vec, chain = frontier.popleft()
-        if chain:  # the unsplit vector is covered by the direct lemma checks
-            base = _base_hard_certificate(vec)
+    parent = {w: None}  # every vector seen, with the one it was split from
+    frontier = deque([w])
+    while frontier and len(parent) < OBS_MAX_STATES:
+        vec = frontier.popleft()
+        if parent[vec] is not None:  # the unsplit w is covered by the direct lemma checks
+            base = _base_hard_certificate(vec, parities)
             if base is not None:
+                chain = []
+                while vec is not None:
+                    chain.append(list(vec))
+                    vec = parent[vec]
                 certs.append(
-                    Certificate(
-                        level,
-                        CertificateSource.OBS_REDUCTION,
-                        {"chain": [list(v) for v in chain + [vec]], "base": base.source.value},
-                    )
+                    Certificate(level, CertificateSource.OBS_REDUCTION, {"chain": chain[::-1], "base": base.source.value})
                 )
                 return
-        for x in sorted(set(vec), reverse=True):
-            if x % 2 != 0 or x == 0:
+        for i, x in enumerate(vec):
+            if x % 2 or (i and vec[i - 1] == x):
                 continue
-            nxt = list(vec)
-            nxt.remove(x)
-            nxt.extend([x // 2, x // 2])
-            nv = tuple(sorted(nxt, reverse=True))
-            if nv not in seen:
-                seen.add(nv)
-                frontier.append((nv, chain + [vec]))
+            half = x // 2
+            rest = vec[:i] + vec[i + 1:]
+            at = bisect_left(rest, -half, key=neg)
+            nv = rest[:at] + (half, half) + rest[at:]
+            if nv not in parent:
+                parent[nv] = vec
+                frontier.append(nv)
 
 
 def certify_lower_bound(weights) -> list[Certificate]:
@@ -303,13 +340,14 @@ def certify_lower_bound(weights) -> list[Certificate]:
     if not w:
         return []
     certs: list[Certificate] = []
+    parities: dict = {}  # equal-head parities, shared by w's split closure
     _suly1(w, certs)
-    _suly1forma_i(w, certs)
-    _suly1forma_ii(w, certs)
+    _suly1forma_i(w, certs, parities)
+    _suly1forma_ii(w, certs, parities)
     _suly1cor(w, certs)
     _suly2(w, certs)
     _suly2_corollaries(w, certs)
-    _obs_reduction(w, certs)
+    _obs_reduction(w, certs, parities)
     best: dict[CertificateSource, Certificate] = {}
     for c in certs:
         if c.source not in best or c.bound > best[c.source].bound:
@@ -321,7 +359,7 @@ def is_hard(weights) -> bool:
     """A vector is hard when it attains the trivial upper bound."""
     w = normalize(weights)
     if not w:
-        raise ValueError("hardness needs at least one ball")
+        raise InputError("hardness needs at least one ball")
     return solve_weighted(w) == hard_level(w)
 
 

@@ -259,7 +259,7 @@ def nondet_hard_coloring(k: int) -> str:
     queries: k batches of k vertices, red exactly in odd batches, final
     vertex blue."""
     if k < 2 or k % 2 != 0:
-        raise ValueError("k must be even and at least 2")
+        raise InputError("k must be even and at least 2")
     out = []
     for i in range(1, k + 1):
         out.append((RED if i % 2 == 1 else BLUE) * k)
@@ -279,7 +279,7 @@ def nondet_query_set(coloring: str) -> frozenset[Edge]:
     coloring = parse_coloring(coloring)
     n = len(coloring)
     if n % 2 == 0:
-        raise ValueError("construction defined for odd paths")
+        raise InputError("construction defined for odd paths")
     if n == 1:
         return frozenset()
     signs = _signs(coloring)

@@ -11,11 +11,10 @@ child is not searched once its DIFF child shows that the move cannot win,
 and the memo holds only exact values.  `signed_sum_counts` counts signed
 sums exactly: relevance here and the counting bounds in `bounds` read it.
 The equal-head checks in `bounds` read only the parity of a count of
-signed sums in a window, and take it from `signed_sum_parity` and, with one
-ball held fixed, `fixed_ball_parities`, which work over GF(2).  Every
-signed sum has the parity of the total, so the hardness search in `bounds`
-checks the equal-head lemma's part (i), which needs a signed sum a*2^n of
-the balls outside the head, only on an even total.
+signed sums in a window, and take it from `signed_sum_parity`, which works
+over GF(2).  Every signed sum has the parity of the total, so the hardness
+search in `bounds` checks the equal-head lemma's part (i), which needs a
+signed sum a*2^n of the balls outside the head, only on an even total.
 """
 
 from __future__ import annotations
@@ -261,18 +260,6 @@ def _window_parity(poly: int, jlo: int, jhi: int) -> int:
     return ((poly >> jlo) & ((1 << (jhi - jlo + 1)) - 1)).bit_count() & 1
 
 
-def _gf2_quotient(poly: int, t: int, top: int) -> int:
-    """poly / (1 + X^t) over GF(2) in the degrees up to top, for a poly
-    that 1 + X^t divides and t > 0.  1 / (1 + X^t) is the product of
-    (1 + X^t)(1 + X^2t)(1 + X^4t)..., and the factors with shift above top
-    leave those degrees alone; bits above top are left over, not zero."""
-    d = t
-    while d <= top:
-        poly ^= poly << d
-        d <<= 1
-    return poly
-
-
 def signed_sum_parity(weights, lo: int, hi: int) -> int:
     """Parity of the number of sign vectors whose signed sum lies in the
     half-open window (lo, hi].
@@ -301,31 +288,6 @@ def signed_sum_parity(weights, lo: int, hi: int) -> int:
     return len([e for e in exps if e >= jlo]) & 1
 
 
-def fixed_ball_parities(weights, lo: int, hi: int):
-    """For each distinct weight t, in descending order, the pair (t, parity)
-    where parity is `signed_sum_parity` of the other balls over the window
-    (lo - t, hi - t]: one ball of weight t is held with sign plus, and the
-    whole signed sum must land in (lo, hi].
-
-    The product of (1 + X^w) over all the balls is built once, and the
-    product over the others is read from it divided by (1 + X^t), which is
-    exact over GF(2) and costs a few shift-XORs (`_gf2_quotient`).  When
-    the total does not fit one integer (see `_gf2_product`), or t is 0,
-    each t takes `signed_sum_parity` of the others instead.
-    """
-    w = tuple(weights)
-    total = sum(w)
-    poly = _gf2_product(_gf2_factors(w), total)
-    for t in sorted(set(w), reverse=True):
-        if poly is None or not t:
-            others = list(w)
-            others.remove(t)
-            yield t, signed_sum_parity(others, lo - t, hi - t)
-            continue
-        top = total - t
-        yield t, _window_parity(_gf2_quotient(poly, t, top), *_plus_window(top, lo - t, hi - t))
-
-
 def relevant(weights, i: int) -> bool:
     """A ball is relevant iff some coloring of the others lets its color
     change the outcome.  Equivalently (for weight v > 0): the others admit a
@@ -348,6 +310,6 @@ def relevance_threshold(weights) -> int:
     """
     w = tuple(weights)
     if not w:
-        raise ValueError("empty weight vector")
+        raise InputError("empty weight vector")
     non_rel = [w[i] for i in range(len(w)) if not relevant(w, i)]
     return max(non_rel, default=0)

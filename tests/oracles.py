@@ -7,6 +7,11 @@ and the atlas inputs that several differential tests share.
   exactly, then take the smallest edge across a pair of least value;
 * the hardness base check that runs both parts of the equal-head lemma on
   every vector, whatever the parity of its total;
+* the lemma certificates with each split vector's equal-head parities
+  computed from scratch: the equal-head parts, the hardness base check and
+  the split search that copies its chain into every frontier entry and
+  re-sorts every split child, over the fixed-ball parities read from one
+  GF(2) product per head divided by (1 + X^t);
 * the eight power-of-two-head sources as five lemma functions, each with
   its own premise, the head found by a subset-sum DP, and a brute-force
   search over every sub-multiset;
@@ -27,14 +32,25 @@ and the atlas inputs that several differential tests share.
 
 import functools
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 import pytest
 
-from majority_game.bounds import Certificate, CertificateSource, hard_level
+from majority_game.bounds import OBS_MAX_STATES, Certificate, CertificateSource, hard_level
 from majority_game.core import BLUE, RED, Answer, Graph, IllegalQueryError, Outcome, QueryState, normalize_edge
 from majority_game.graphsolver import GameView, _merge_codes, _merge_nbrs, encode_state
-from majority_game.weighted import normalize, signed_sum_counts, strip_zeros, weighted_terminal
+from majority_game.weighted import (
+    _gf2_factors,
+    _gf2_product,
+    _plus_window,
+    _window_parity,
+    normalize,
+    signed_sum_counts,
+    signed_sum_parity,
+    strip_zeros,
+    weighted_terminal,
+)
 
 
 def count_consistent(state: QueryState) -> int:
@@ -158,32 +174,37 @@ def suly1forma_both_parts(w, certs):
     """Equal-head lemma, both parts in one pass over the heads."""
     k = len(w)
     got_i = got_ii = False
+    for a, p2, n, rest in equal_heads(w):
+        counts = signed_sum_counts(rest)
+        if not got_i and counts.get(a * p2, 0) % 2 == 1:
+            certs.append(Certificate(k - 1, CertificateSource.SULY1FORMA_I, {"n": n, "head": a}))
+            got_i = True
+        if not got_ii:
+            lo, hi = -a * p2, a * p2
+            for t in sorted(set(rest), reverse=True):
+                others = list(rest)
+                others.remove(t)
+                inside = sum(c for s, c in signed_sum_counts(others).items() if lo < t + s <= hi)
+                if inside % 2 == 1:
+                    certs.append(
+                        Certificate(k - 2, CertificateSource.SULY1FORMA_II, {"n": n, "head": a, "fixed_ball": t})
+                    )
+                    got_ii = True
+                    break
+        if got_i and got_ii:
+            return
+
+
+def equal_heads(w):
+    """Each head of 2^n equal balls of weight a that leaves at least two
+    other balls, as (a, p2, n, rest)."""
     for a in sorted(set(w), reverse=True):
         for p2 in _powers_of_two_up_to(w.count(a)):
-            n = p2.bit_length() - 1
-            if k <= p2 + 1:
-                continue
-            rest = list(w)
-            for _ in range(p2):
-                rest.remove(a)
-            counts = signed_sum_counts(rest)
-            if not got_i and counts.get(a * p2, 0) % 2 == 1:
-                certs.append(Certificate(k - 1, CertificateSource.SULY1FORMA_I, {"n": n, "head": a}))
-                got_i = True
-            if not got_ii:
-                lo, hi = -a * p2, a * p2
-                for t in sorted(set(rest), reverse=True):
-                    others = list(rest)
-                    others.remove(t)
-                    inside = sum(c for s, c in signed_sum_counts(others).items() if lo < t + s <= hi)
-                    if inside % 2 == 1:
-                        certs.append(
-                            Certificate(k - 2, CertificateSource.SULY1FORMA_II, {"n": n, "head": a, "fixed_ball": t})
-                        )
-                        got_ii = True
-                        break
-            if got_i and got_ii:
-                return
+            if len(w) > p2 + 1:
+                rest = list(w)
+                for _ in range(p2):
+                    rest.remove(a)
+                yield a, p2, p2.bit_length() - 1, tuple(rest)
 
 
 def _powers_of_two_up_to(limit: int):
@@ -326,6 +347,125 @@ def base_hard_certificate_both_parts(w):
     suly2(w, certs)
     level = hard_level(w)
     return next((c for c in certs if c.bound == level), None)
+
+
+# -- the lemma certificates, each split vector's parities from scratch -----
+
+
+def gf2_quotient(poly: int, t: int, top: int) -> int:
+    """poly / (1 + X^t) over GF(2) in the degrees up to top, for a poly
+    that 1 + X^t divides and t > 0.  1 / (1 + X^t) is the product of
+    (1 + X^t)(1 + X^2t)(1 + X^4t)..., and the factors with shift above top
+    leave those degrees alone; bits above top are left over, not zero."""
+    d = t
+    while d <= top:
+        poly ^= poly << d
+        d <<= 1
+    return poly
+
+
+def fixed_ball_parities(weights, lo: int, hi: int):
+    """For each distinct weight t, in descending order, the pair (t, parity)
+    where parity is `signed_sum_parity` of the other balls over the window
+    (lo - t, hi - t], read from the GF(2) product of all the balls divided
+    by (1 + X^t); when the total does not fit one integer, or t is 0, each t
+    takes `signed_sum_parity` of the others instead."""
+    w = tuple(weights)
+    total = sum(w)
+    poly = _gf2_product(_gf2_factors(w), total)
+    for t in sorted(set(w), reverse=True):
+        if poly is None or not t:
+            others = list(w)
+            others.remove(t)
+            yield t, signed_sum_parity(others, lo - t, hi - t)
+            continue
+        top = total - t
+        yield t, _window_parity(gf2_quotient(poly, t, top), *_plus_window(top, lo - t, hi - t))
+
+
+def suly1forma_i(w, certs):
+    """Equal-head lemma, part (i), on an even total: the parity of the
+    signed sums a*2^n of the rest, from the rest's own GF(2) product."""
+    if sum(w) % 2:
+        return
+    for a, p2, n, rest in equal_heads(w):
+        if signed_sum_parity(rest, a * p2 - 1, a * p2):
+            certs.append(Certificate(len(w) - 1, CertificateSource.SULY1FORMA_I, {"n": n, "head": a}))
+            return
+
+
+def suly1forma_ii(w, certs):
+    """Equal-head lemma, part (ii): one ball t fixed, the parity of the
+    signed sums of the rest in (-a*2^n, a*2^n], one product per head."""
+    for a, p2, n, rest in equal_heads(w):
+        for t, odd in fixed_ball_parities(rest, -a * p2, a * p2):
+            if odd:
+                certs.append(
+                    Certificate(len(w) - 2, CertificateSource.SULY1FORMA_II, {"n": n, "head": a, "fixed_ball": t})
+                )
+                return
+
+
+def base_hard_certificate(w):
+    """The first certificate at the hard level among the unit-head lemma,
+    the equal-head part that can reach it and the power-of-two-head lemma,
+    or None."""
+    certs = []
+    suly1(w, certs)
+    suly1forma_i(w, certs)
+    if sum(w) % 2:
+        suly1forma_ii(w, certs)
+    suly2(w, certs)
+    level = hard_level(w)
+    return next((c for c in certs if c.bound == level), None)
+
+
+def obs_reduction(w, certs):
+    """The split search, breadth first from the descending w, each frontier
+    entry carrying a copy of its chain and each split child sorted anew."""
+    level = hard_level(w)
+    frontier = deque([(w, [])])
+    seen = {w}
+    while frontier and len(seen) < OBS_MAX_STATES:
+        vec, chain = frontier.popleft()
+        if chain:
+            base = base_hard_certificate(vec)
+            if base is not None:
+                witness = {"chain": [list(v) for v in chain + [vec]], "base": base.source.value}
+                certs.append(Certificate(level, CertificateSource.OBS_REDUCTION, witness))
+                return
+        for x in sorted(set(vec), reverse=True):
+            if x % 2 != 0 or x == 0:
+                continue
+            nxt = list(vec)
+            nxt.remove(x)
+            nxt.extend([x // 2, x // 2])
+            nv = tuple(sorted(nxt, reverse=True))
+            if nv not in seen:
+                seen.add(nv)
+                frontier.append((nv, chain + [vec]))
+
+
+def reference_certify_lower_bound(weights):
+    """`certify_lower_bound` with the reference lemmas above: the best
+    bound per source, by bound and then source name."""
+    w = strip_zeros(normalize(weights))
+    if not w:
+        return []
+    certs = []
+    suly1(w, certs)
+    suly1forma_i(w, certs)
+    suly1forma_ii(w, certs)
+    suly1cor(w, certs)
+    suly2(w, certs)
+    suly2cor(w, certs)
+    o1g(w, certs)
+    obs_reduction(w, certs)
+    best = {}
+    for c in certs:
+        if c.source not in best or c.bound > best[c.source].bound:
+            best[c.source] = c
+    return sorted(best.values(), key=lambda c: (-c.bound, c.source.value))
 
 
 # -- the weighted solver with sorted successors ---------------------------

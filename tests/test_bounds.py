@@ -9,12 +9,14 @@ import pytest
 from oracles import (
     HEAD_SOURCES,
     base_hard_certificate_both_parts,
+    equal_heads,
     has_sub_multiset,
     head_certificates,
+    reference_certify_lower_bound,
     suly1forma_both_parts,
 )
 
-from majority_game import bounds
+from majority_game import bounds, nondet, weighted
 from majority_game.bounds import (
     MU_INFINITE,
     Certificate,
@@ -30,6 +32,7 @@ from majority_game.bounds import (
     signed_sum_counts,
     two_adic_valuation,
 )
+from majority_game.core import InputError
 from majority_game.suites import c5_vectors
 from majority_game.weighted import (
     _gf2_factors,
@@ -194,9 +197,9 @@ def test_hardness_base_check_matches_both_equal_head_parts(monkeypatch):
     visited = []
     base = bounds._base_hard_certificate
 
-    def recording(w):
+    def recording(w, *parities):
         visited.append(w)
-        return base(w)
+        return base(w, *parities)
 
     monkeypatch.setattr(bounds, "_base_hard_certificate", recording)
     for w in c5_vectors():
@@ -248,3 +251,115 @@ def test_head_rule_matches_the_reference_lemmas():
         fired.update(c.source for c in got)
     # each of the eight sources fires, so a rule that dies fails here
     assert set(fired) == HEAD_SOURCES, fired
+
+
+LARGE_VECTORS = [(10**5, 10**5 - 1, 3), (10**5, 10**5, 7, 3), (10**9, 10**9 - 1, 3)]
+
+
+def test_certify_matches_the_per_vector_reference():
+    # the reference computes every split vector's equal-head parities from
+    # its own GF(2) products and copies its chain into every frontier entry
+    fired = 0
+    for w in weight_multisets(18) + c5_vectors() + LARGE_VECTORS:
+        got = certify_lower_bound(w)
+        assert got == reference_certify_lower_bound(w), w
+        fired += any(c.source is CertificateSource.OBS_REDUCTION for c in got)
+    assert fired > 100
+
+
+def _split_closure(w):
+    """Every vector reached from the descending w by splitting a ball 2a
+    into two balls a, w first."""
+    out, todo = {w: None}, [w]
+    while todo:
+        vec = todo.pop()
+        for x in set(vec):
+            if x % 2 == 0:
+                rest = list(vec)
+                rest.remove(x)
+                nv = tuple(sorted(rest + [x // 2, x // 2], reverse=True))
+                if nv not in out:
+                    out[nv] = None
+                    todo.append(nv)
+    return list(out)
+
+
+def _gf2_divide(poly, d):
+    """poly / (1 + X^d) over GF(2) by long division; 1 + X^d must divide it."""
+    quotient = 0
+    while poly:
+        top = poly.bit_length() - 1
+        assert top >= d, (poly, d)
+        quotient |= 1 << (top - d)
+        poly ^= (1 << top) | (1 << (top - d))
+    return quotient
+
+
+def _odd_sums(balls, lo, hi):
+    """Parity of the number of sign vectors of balls with signed sum in (lo, hi]."""
+    return sum(c for s, c in signed_sum_counts(balls).items() if lo < s <= hi) % 2
+
+
+def _odd_window(poly, total, lo, hi):
+    """The same parity read off the balls' GF(2) product poly: bit j counts
+    the sign vectors whose plus balls weigh j, signed sum 2j - total."""
+    return sum(poly >> j & 1 for j in range(total + 1) if lo < 2 * j - total <= hi) % 2
+
+
+def test_equal_head_parities_are_constant_on_the_split_closure():
+    # a split leaves the GF(2) product of (1 + X^x) and the total alone, so
+    # each head's parity on any vector of w's split closure is read off w's
+    # product divided by 1 + X^h, h = a*2^n, and by 1 + X^t for a fixed ball t
+    keys = 0
+    for w in weight_multisets(16):
+        total = sum(w)
+        product = sum(1 << (s + total) // 2 for s, c in signed_sum_counts(w).items() if c % 2)
+        for vec in _split_closure(w):
+            for a, p2, n, rest in equal_heads(vec):
+                h = a * p2
+                on_w = _gf2_divide(product, h)
+                if total % 2 == 0:
+                    assert _odd_sums(rest, h - 1, h) == _odd_window(on_w, total - h, h - 1, h), (w, vec, a, n)
+                for t in set(rest):
+                    others = list(rest)
+                    others.remove(t)
+                    want = _odd_window(_gf2_divide(on_w, t), total - h - t, -h - t, h - t)
+                    assert _odd_sums(others, -h - t, h - t) == want, (w, vec, a, n, t)
+                    keys += 1
+    assert keys > 10000
+
+
+def test_large_weights_certify_in_few_parity_calls(monkeypatch):
+    # the split search from (10^9, 10^9 - 1, 3) visits thousands of vectors
+    # without a base certificate; their equal-head parities repeat per head
+    base_calls, parity_calls = [], []
+    base, parity = bounds._base_hard_certificate, weighted.signed_sum_parity
+
+    def counting_base(w, *parities):
+        base_calls.append(w)
+        return base(w, *parities)
+
+    def counting_parity(*args):
+        parity_calls.append(args)
+        return parity(*args)
+
+    monkeypatch.setattr(bounds, "_base_hard_certificate", counting_base)
+    monkeypatch.setattr(bounds, "signed_sum_parity", counting_parity)
+    monkeypatch.setattr(weighted, "signed_sum_parity", counting_parity)
+    assert certify_lower_bound((10**9, 10**9 - 1, 3)) == [
+        Certificate(1, CertificateSource.SULY1FORMA_II, {"n": 0, "head": 10**9, "fixed_ball": 10**9 - 1})
+    ]
+    assert len(base_calls) > 1000
+    assert 0 < len(parity_calls) < 100
+
+
+def test_bad_library_input_is_an_input_error():
+    for call, args in [
+        (is_hard, ((),)),
+        (popcount, (-1,)),
+        (weighted.relevance_threshold, ((),)),
+        (nondet.nondet_hard_coloring, (3,)),
+        (nondet.nondet_query_set, ("RRBB",)),
+    ]:
+        with pytest.raises(InputError):
+            call(*args)

