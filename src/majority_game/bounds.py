@@ -2,8 +2,12 @@
 
 Certificates are hypothesis checkers: each evaluates the premise of one
 lower-bound lemma on a weight vector and, when it holds, records the
-concluded bound.  Bounds are always sound (testable against the exact
-solver); the lemmas themselves are not re-proved here.
+concluded bound.  Bounds are always sound; the tests check them
+against the independent oracles in `tests/oracles.py`: the unpruned
+minimax for m(w), and each bound and lemma computed directly from its
+statement.  The lemmas themselves are not re-proved here.  The counting
+bound is computed in `weighted`, which also reads it to prune its own
+search; `dectree_bound` only reports it.
 
 The eight power-of-two-head sources (SULY1_I/II, SULY1COR_I/II, SULY2_I/II,
 SULY2COR and O1G) are one rule, `_head_rule`, with c in {0, 1, 3}: a total
@@ -16,16 +20,20 @@ at most p2 divides p2 and every gap left, so the fill fails only when the
 pool's balls of at most p2 sum to less than p2.
 
 The equal-head lemma (SULY1FORMA_I/II) reads the parity of a count of
-signed sums of the balls outside a head of p2 = 2^n balls of weight a,
-from the product of (1 + X^x) over those balls over GF(2).  There
-(1 + X^a)^2 = 1 + X^2a, so the head divides 1 + X^h, h = a*p2, out of the
-product over all of w, and splitting a ball 2a into two balls a leaves that
-product and the total unchanged.  Every vector of w's split closure, which
-the hardness search walks, therefore has the same part-(i) parity for a
-given h and the same part-(ii) parity for a given (h, t), t the fixed ball.
-Each `certify_lower_bound` call keeps one dict from h and (h, t) to these
-parities, filled on first use and shared by the direct checks on w and the
-search; nothing outlives the call.
+signed sums of the balls outside a head of 2^n balls of weight a, and
+that parity does not depend on the head: part (i)'s is the parity of p/2
+and part (ii)'s, for the fixed ball t, the parity of p_t/2, the counts of
+the counting bound, which both read from `weighted.majority_counts`.  So
+part (i) fires exactly when k >= 3 and mu(p) = 1, part (ii) at t exactly
+when mu(p_t) = 1, and the witness head is always one ball.  Over GF(2),
+(1 + X^a)^2 = 1 + X^2a, so splitting a ball 2a into two balls a leaves
+the product of (1 + X^x) over the balls, and the total, unchanged; both
+parities are read off that product (with one ball that the split leaves
+alone, or t, divided out), so they are the same on every vector of w's
+split closure that has the ball t, or at least two balls.  Each
+`certify_lower_bound` call keeps one dict from t to p_t/2 mod 2, with
+p/2 mod 2 under None, filled on first use and shared by the direct checks
+on w and the hardness search; nothing outlives the call.
 
 All counting uses unbounded integers.  Zero-weight balls are stripped
 before any lemma hypothesis is evaluated: removing a weight-0 ball never
@@ -45,10 +53,11 @@ from operator import neg
 from .core import InputError
 from .weighted import (
     WeightVector,
+    counting_bound,
     hard_level,
+    majority_counts,
     normalize,
     signed_sum_counts,
-    signed_sum_parity,
     solve_weighted,
     strip_zeros,
     weight_multisets,
@@ -116,29 +125,19 @@ def count_majority_with(weights, i: int) -> int:
 
 
 def dectree_bound(weights) -> Certificate:
-    """Best counting bound: k - mu(p), or k - 1 - mu(p_i) over all i.
+    """Best counting bound: k - mu(p), or k - 1 - mu(p_i) over all i, as
+    `weighted.counting_bound` computes it on the balls of positive weight.
 
-    An infinite valuation makes its route non-informative (bound 0).
-    """
+    Each of the z zero balls adds one to k and doubles every count, so the
+    bound is the same and the witness count gains a factor 2^z and its
+    valuation z.  A zero ball's own p_i route never beats the route through
+    p, which comes first."""
     w = normalize(weights)
-    k = len(w)
-    candidates: list[Certificate] = []
-    p = count_balanced(w)
-    mu_p = two_adic_valuation(p)
-    if mu_p is not MU_INFINITE:
-        candidates.append(Certificate(max(0, k - mu_p), CertificateSource.DECTREE_P, {"p": p, "mu": mu_p}))
-    seen_vals = set()
-    for i, wi in enumerate(w):
-        if wi in seen_vals:
-            continue
-        seen_vals.add(wi)
-        pi = count_majority_with(w, i)
-        mu_pi = two_adic_valuation(pi)
-        if mu_pi is not MU_INFINITE:
-            candidates.append(
-                Certificate(max(0, k - 1 - mu_pi), CertificateSource.DECTREE_PI, {"i": i, "p_i": pi, "mu": mu_pi})
-            )
-    return max(candidates, key=lambda c: c.bound, default=Certificate(0, CertificateSource.TRIVIAL, {}))
+    z = w.count(0)  # the zero balls sort last
+    bound, i, count, mu = counting_bound(w[: len(w) - z])
+    if i is None:
+        return Certificate(bound, CertificateSource.DECTREE_P, {"p": count << z, "mu": mu + z})
+    return Certificate(bound, CertificateSource.DECTREE_PI, {"i": i, "p_i": count << z, "mu": mu + z})
 
 
 def _fill_head(pool, p2: int):
@@ -179,57 +178,53 @@ def _suly1(w: WeightVector, certs: list[Certificate]) -> None:
         certs.append(Certificate(hit[0], _UNIT_HEAD[r], {"n": hit[1]}))
 
 
-def _equal_heads(w: WeightVector):
-    """Each head of p2 = 2^n equal balls of weight a that leaves at least two
-    other balls, as (a, p2, n, rest); w is descending, so the head is one
-    slice."""
-    for a in sorted(set(w), reverse=True):
-        start = w.index(a)
-        for n in range(w.count(a).bit_length()):
-            p2 = 1 << n
-            if len(w) > p2 + 1:
-                yield a, p2, n, w[:start] + w[start + p2:]
+def _half_parity(w: WeightVector, parities: dict, t: int | None = None) -> int:
+    """p/2 mod 2 on w (t None) or p_t/2 mod 2 for a ball t of w, from
+    `majority_counts`; a miss fills `parities` with p/2 and, when t is a
+    ball, p_x/2 for every weight x of w (see the module docstring)."""
+    if t not in parities:
+        counts = majority_counts(w)
+        parities.setdefault(None, next(counts) >> 1 & 1)
+        if t is not None:
+            for x, count in zip(dict.fromkeys(w), counts):
+                parities.setdefault(x, count >> 1 & 1)
+    return parities[t]
 
 
 def _suly1forma_i(w: WeightVector, certs: list[Certificate], parities: dict | None = None) -> None:
     """Equal-head lemma, part (i): an odd number of signed partitions of the
-    remaining balls hits difference h = a*2^n.  A signed sum of the rest has
-    the parity of total - h, so on an odd total the window is empty and
-    nothing is checked.  Only the parity is read: `signed_sum_parity` over
-    the window (h - 1, h], from the product of (1 + X^w) over GF(2),
-    computed once per h and kept in `parities` (see the module docstring)."""
-    if sum(w) % 2:
-        return
-    parities = {} if parities is None else parities
-    for a, p2, n, rest in _equal_heads(w):
-        h = a * p2
-        if h not in parities:
-            parities[h] = signed_sum_parity(rest, h - 1, h)
-        if parities[h]:
-            certs.append(Certificate(len(w) - 1, CertificateSource.SULY1FORMA_I, {"n": n, "head": a}))
-            return
+    balls outside a head of 2^n balls of weight a hits difference a*2^n.
+    With a one-ball head a, the balanced sign vectors of w are those of the
+    rest that sum to a, with a negative, and their negations, so the count
+    is p/2; a larger head reads a count of the same parity.  The first head,
+    one ball of weight w[0], is the witness; it leaves two other balls when
+    k >= 3.  On an odd total p = 0 and nothing fires."""
+    if len(w) > 2 and _half_parity(w, {} if parities is None else parities):
+        certs.append(Certificate(len(w) - 1, CertificateSource.SULY1FORMA_I, {"n": 0, "head": w[0]}))
 
 
 def _suly1forma_ii(w: WeightVector, certs: list[Certificate], parities: dict | None = None) -> None:
     """Equal-head lemma, part (ii): with one ball t held fixed, an odd
     number of signed sums of the rest lands in the half-open window
     (-h - t, h - t], h = a*2^n; this is the exact condition under which the
-    proof's majority count is odd.  Only the parity is read, by
-    `signed_sum_parity` of the rest without t, computed once per (h, t)
-    and kept in `parities` (see the module docstring)."""
+    proof's majority count is odd.  Over GF(2) the head's factor
+    (1 + X^a)^(2^n) is 1 + X^h, one ball of weight h, and the sign vectors
+    of w without t with t + s > 0 are, mod 2, those of the rest with t + s
+    in (-h, h] plus twice those above h: the parity is that of p_t/2,
+    whatever the head.  The first head, one ball of weight w[0], is tried
+    with each t of w[1:] from the largest down; when w[0] is a single ball,
+    the head w[1] adds t = w[0].  Every head needs k >= 3."""
+    if len(w) < 3:
+        return
     parities = {} if parities is None else parities
-    for a, p2, n, rest in _equal_heads(w):
-        h = a * p2
-        for t in sorted(set(rest), reverse=True):
-            if (h, t) not in parities:
-                others = list(rest)
-                others.remove(t)
-                parities[h, t] = signed_sum_parity(others, -h - t, h - t)
-            if parities[h, t]:
-                certs.append(
-                    Certificate(len(w) - 2, CertificateSource.SULY1FORMA_II, {"n": n, "head": a, "fixed_ball": t})
-                )
-                return
+    pairs = [(w[0], t) for t in dict.fromkeys(w[1:])]
+    if w[1] != w[0]:
+        pairs.append((w[1], w[0]))
+    for head, t in pairs:
+        if _half_parity(w, parities, t):
+            witness = {"n": 0, "head": head, "fixed_ball": t}
+            certs.append(Certificate(len(w) - 2, CertificateSource.SULY1FORMA_II, witness))
+            return
 
 
 def _suly1cor(w: WeightVector, certs: list[Certificate]) -> None:
@@ -297,13 +292,12 @@ def _obs_reduction(w: WeightVector, certs: list[Certificate], parities: dict | N
 
     Over GF(2), (1 + X^a)^2 = 1 + X^2a, so a split leaves the product of
     (1 + X^x) over the balls, and the total, unchanged: every vector of the
-    search has w's product.  A head of weight h = a*2^n divides out 1 + X^h,
-    so each equal-head parity depends only on h (part (i)) or on h and the
-    fixed ball t (part (ii)), and one `parities` dict serves the whole
-    search.  Each vector keeps only a link to the vector it was split from;
-    the chain is built from those links once a base certificate is found,
-    and each split child is the parent with the two halves spliced in at
-    their sorted place."""
+    search has w's product, and the equal-head parities, p/2 and p_t/2
+    mod 2, are read off it, so one `parities` dict keyed by t serves the
+    whole search (see the module docstring).  Each vector keeps only a
+    link to the vector it was split from; the chain is built from those
+    links once a base certificate is found, and each split child is the
+    parent with the two halves spliced in at their sorted place."""
     parities = {} if parities is None else parities
     level = hard_level(w)
     parent = {w: None}  # every vector seen, with the one it was split from

@@ -54,12 +54,15 @@ def _cmd_solve_weighted(args) -> int:
     w = _parse_vector(args.vector)
     value = weighted.solve_weighted(w)
     q = weighted.optimal_query(w)
+    info = weighted.cache_info()
     payload = {
         "k": len(w),
         "total": sum(w),
         "value": value,
         "first_query": q,
-        "memo_states": weighted.cache_info()["size"],
+        "memo_states": info["size"],
+        "closed_by_bound": info["bound_closed"],
+        "cut_at_bound": info["bound_cut"],
     }
     _emit(payload, args.json, f"m{tuple(w)} = {value}  (an optimal first query: {q})")
     return 0

@@ -9,12 +9,14 @@ class is the majority).  `solve_weighted` computes the exact worst-case
 query count by memoized minimax over weight multisets; a move's SAME
 child is not searched once its DIFF child shows that the move cannot win,
 and the memo holds only exact values.  `signed_sum_counts` counts signed
-sums exactly: relevance here and the counting bounds in `bounds` read it.
-The equal-head checks in `bounds` read only the parity of a count of
-signed sums in a window, and take it from `signed_sum_parity`, which works
-over GF(2).  Every signed sum has the parity of the total, so the hardness
-search in `bounds` checks the equal-head lemma's part (i), which needs a
-signed sum a*2^n of the balls outside the head, only on an even total.
+sums exactly, for relevance and for the counts in `bounds`.
+`majority_counts` counts the balanced sign vectors p and, per weight, the
+sign vectors p_i that put ball i on the heavier side, and `counting_bound`
+turns them into Saks and Werman's bound max(k - mu(p), k - 1 - mu(p_i)),
+mu the 2-adic valuation.  The bound is computed here and only here:
+`_solve` reads it to close a state or cut its move loop,
+`bounds.dectree_bound` reports it as a certificate, and the equal-head
+checks in `bounds` read the parities of p/2 and p_t/2 from the same counts.
 """
 
 from __future__ import annotations
@@ -84,16 +86,20 @@ def _merged(w: WeightVector, i: int, j: int, x: int) -> WeightVector:
 
 
 _memo: dict[WeightVector, int] = {}  # grows across a process until clear()
+_bound_hits = {"closed": 0, "cut": 0}  # what the counting bound saved since clear()
 
 
 def cache_info() -> dict[str, int]:
-    """The size of the memo `_solve` shares across calls."""
-    return {"size": len(_memo)}
+    """The size of the memo `_solve` shares across calls, the states the
+    counting bound closed before any move and the move loops it cut."""
+    return {"size": len(_memo), "bound_closed": _bound_hits["closed"], "bound_cut": _bound_hits["cut"]}
 
 
 def clear() -> None:
-    """Empty the memo; later solves refill it with the same values."""
+    """Empty the memo and zero its counters; later solves refill it with
+    the same values."""
     _memo.clear()
+    _bound_hits.update(closed=0, cut=0)
 
 
 def hard_level(w) -> int:
@@ -108,7 +114,10 @@ def _solve(w: WeightVector) -> int:
     The search starts from `hard_level(w)`: merging all k balls into one
     ends the game, and on an odd total merging them into two already does,
     as two weights with an odd sum differ.  Only a move below that level is
-    of use, and a search that finds none proves the level exact.
+    of use, and a search that finds none proves the level exact.  From
+    below, `counting_bound` limits the value: a state whose bound meets
+    the level is closed before any move, and the move loop stops as soon
+    as the best move found reaches the bound.
 
     Moves are taken per pair of weight values, as distinct balls of equal
     weight give identical children: a descending, then b descending from a
@@ -127,6 +136,11 @@ def _solve(w: WeightVector) -> int:
         memo[w] = 0
         return 0
     best = hard_level(w)
+    floor = counting_bound(w)[0]
+    if floor >= best:
+        _bound_hits["closed"] += 1
+        memo[w] = best
+        return best
     k = len(w)
     ends = [j for j in range(k - 1) if w[j] != w[j + 1]] + [k - 1]  # last ball of each value
     i = 0
@@ -148,6 +162,11 @@ def _solve(w: WeightVector) -> int:
                 p = _solve(child)
             if 1 + p < best:
                 best = 1 + max(m, p)
+                if best <= floor:
+                    break
+        if best <= floor:
+            _bound_hits["cut"] += 1
+            break
         i = end + 1
     memo[w] = best
     return best
@@ -220,72 +239,68 @@ def signed_sum_counts(weights) -> dict[int, int]:
     return counts
 
 
-def _gf2_factors(w: WeightVector) -> list[int]:
-    """The shifts d of the factors (1 + X^d) whose product over GF(2) is the
-    product of (1 + X^x) over w: (1 + X^x)^c is the product of
-    (1 + X^(x*2^i)) over the set bits i of c, so one shift per set bit of
-    each value's multiplicity.  A zero weight gives the factor 1 + 1 = 0."""
-    shifts = []
-    for x in set(w):
-        c = w.count(x)
-        while c:
-            shifts.append(x * (c & -c))
-            c &= c - 1
-    return shifts
+def majority_counts(w: WeightVector):
+    """Yield p, the number of sign vectors of the zero-free descending w
+    with signed sum 0, then, for each distinct weight x from the largest
+    down, p_x: the sign vectors in which a ball of weight x lies on the
+    strictly heavier side, both of its signs counted.  Lazily, so a reader
+    that has what it needs stops the work.
 
-
-def _gf2_product(shifts: list[int], total: int) -> int | None:
-    """The product of the factors (1 + X^d) over GF(2) as one integer, bit
-    j the parity of the number of sign vectors whose plus balls weigh j; or
-    None when the total is at least 64 << factors, where the integer would
-    be long next to the at most 2^factors exponents it holds."""
-    if total >= 64 << len(shifts):
-        return None
-    poly = 1
-    for d in shifts:
-        poly ^= poly << d
-    return poly
-
-
-def _plus_window(total: int, lo: int, hi: int) -> tuple[int, int]:
-    """The plus-ball weights j whose signed sum 2j - total lies in (lo, hi],
-    as the ends (jlo, jhi) of a closed range."""
-    return max((lo + total) // 2 + 1, 0), min((hi + total) // 2, total)
-
-
-def _window_parity(poly: int, jlo: int, jhi: int) -> int:
-    """Parity of the set bits jlo..jhi of poly; 0 on an empty range."""
-    if jlo > jhi:
-        return 0
-    return ((poly >> jlo) & ((1 << (jhi - jlo + 1)) - 1)).bit_count() & 1
-
-
-def signed_sum_parity(weights, lo: int, hi: int) -> int:
-    """Parity of the number of sign vectors whose signed sum lies in the
-    half-open window (lo, hi].
-
-    The parity is read off the product of (1 + X^w) over GF(2), built from
-    one shift-XOR factor per set bit of each value's multiplicity (see
-    `_gf2_factors`); a zero weight makes every parity even.  While the
-    total is below 64 << factors the product is one integer and the window
-    is one masked `bit_count`; otherwise it is the set of its exponents,
-    updated by symmetric difference, and an exponent past the window is
-    dropped, as no factor lowers it.  Cost grows with the number of
-    factors, never with the size of the weights.
+    The counts are read off the product of (1 + X^x) over w, packed into
+    one integer at X = 2^(k + 1): a field counts at most 2^k sign vectors,
+    so none carries into the next, and integer products are polynomial
+    products.  p is the middle field.  The product of the other balls is
+    the packed product divided by 1 + 2^((k + 1)x), and the plus-ball
+    weights j <= (total - 2x) / 2 of those balls are the ones that leave x
+    on the lighter side or level; their fields, summed as the low part
+    taken mod 2^(k + 1) - 1, are at most 2^(k - 1), so the mod is exact.
+    When the total is at least 64 times the number of sub-multisets, the
+    integer would be long next to the dict of nonzero terms that
+    `signed_sum_counts` keeps, and the counts are read from those dicts:
+    either way the cost never grows with the size of the weights.
     """
-    w = tuple(weights)
-    total = sum(w)
-    jlo, jhi = _plus_window(total, lo, hi)
-    if jlo > jhi:
-        return 0
-    shifts = _gf2_factors(w)
-    poly = _gf2_product(shifts, total)
-    if poly is not None:
-        return _window_parity(poly, jlo, jhi)
-    exps = {0}
-    for d in shifts:
-        exps ^= {e + d for e in exps if e + d <= jhi}
-    return len([e for e in exps if e >= jlo]) & 1
+    k, total = len(w), sum(w)
+    values = list(dict.fromkeys(w))
+    if total < 64 * math.prod(w.count(x) + 1 for x in values):
+        f = k + 1
+        field = (1 << f) - 1
+        poly = 1
+        for x in w:
+            poly += poly << (f * x)
+        yield 0 if total & 1 else poly >> (f * (total // 2)) & field
+        for x in values:
+            others = poly // (1 + (1 << (f * x)))
+            low = others & ((1 << (f * max(total // 2 - x + 1, 0))) - 1)
+            yield (1 << k) - 2 * (low % field)
+        return
+    yield signed_sum_counts(w).get(0, 0)
+    for x in values:
+        others = list(w)
+        others.remove(x)
+        yield 2 * sum(c for s, c in signed_sum_counts(others).items() if x + s > 0)
+
+
+def counting_bound(w: WeightVector) -> tuple[int, int | None, int, int]:
+    """The counting bound of Saks and Werman on the zero-free descending w,
+    max(k - mu(p), k - 1 - mu(p_i)) over the first ball i of each weight,
+    mu the 2-adic valuation and a count of 0 ignored, each route at least
+    0, as (bound, i, count, mu) for the first route that attains it: i is
+    None on the route through p.  p is even (a sign vector and its negation
+    are distinct) and so is every p_i, so no p_i route beats k - 2 and the
+    search stops there.  `_solve` reads the bound, `bounds.dectree_bound`
+    the whole tuple; the empty vector gives (0, None, 1, 0)."""
+    k = len(w)
+    firsts = [None] + [i for i in range(k) if not i or w[i] != w[i - 1]]
+    best = None
+    for i, count in zip(firsts, majority_counts(w)):
+        if count:
+            mu = (count & -count).bit_length() - 1
+            bound = max(0, k - mu - (i is not None))
+            if best is None or bound > best[0]:
+                best = (bound, i, count, mu)
+                if bound >= k - 2:
+                    break
+    return best
 
 
 def relevant(weights, i: int) -> bool:

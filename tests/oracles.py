@@ -7,11 +7,14 @@ and the atlas inputs that several differential tests share.
   exactly, then take the smallest edge across a pair of least value;
 * the hardness base check that runs both parts of the equal-head lemma on
   every vector, whatever the parity of its total;
+* the counting bound, each p_i from the signed-sum counts of the other
+  balls, zero balls included;
 * the lemma certificates with each split vector's equal-head parities
-  computed from scratch: the equal-head parts, the hardness base check and
-  the split search that copies its chain into every frontier entry and
-  re-sorts every split child, over the fixed-ball parities read from one
-  GF(2) product per head divided by (1 + X^t);
+  computed from scratch, head by head: the equal-head parts, the hardness
+  base check and the split search that copies its chain into every
+  frontier entry and re-sorts every split child, over signed-sum parities
+  read from the GF(2) product of (1 + X^w), one per window, and the
+  fixed-ball parities read from one product per head divided by (1 + X^t);
 * the eight power-of-two-head sources as five lemma functions, each with
   its own premise, the head found by a subset-sum DP, and a brute-force
   search over every sub-multiset;
@@ -37,20 +40,10 @@ from dataclasses import dataclass
 
 import pytest
 
-from majority_game.bounds import OBS_MAX_STATES, Certificate, CertificateSource, hard_level
+from majority_game.bounds import OBS_MAX_STATES, Certificate, CertificateSource, hard_level, two_adic_valuation
 from majority_game.core import BLUE, RED, Answer, Graph, IllegalQueryError, Outcome, QueryState, normalize_edge
 from majority_game.graphsolver import GameView, _merge_codes, _merge_nbrs, encode_state
-from majority_game.weighted import (
-    _gf2_factors,
-    _gf2_product,
-    _plus_window,
-    _window_parity,
-    normalize,
-    signed_sum_counts,
-    signed_sum_parity,
-    strip_zeros,
-    weighted_terminal,
-)
+from majority_game.weighted import normalize, signed_sum_counts, strip_zeros, weighted_terminal
 
 
 def count_consistent(state: QueryState) -> int:
@@ -349,7 +342,102 @@ def base_hard_certificate_both_parts(w):
     return next((c for c in certs if c.bound == level), None)
 
 
+# -- the counting bound from the signed-sum counts of each ball's others ---
+
+
+def reference_dectree_bound(weights):
+    """The counting bound k - mu(p), or k - 1 - mu(p_i), on the normalized
+    vector, zero balls included: p from the signed-sum counts of w, each
+    p_i from those of the other balls, the first best route kept."""
+    w = normalize(weights)
+    k = len(w)
+    candidates = []
+    p = signed_sum_counts(w).get(0, 0)
+    if p:
+        mu = two_adic_valuation(p)
+        candidates.append(Certificate(max(0, k - mu), CertificateSource.DECTREE_P, {"p": p, "mu": mu}))
+    seen = set()
+    for i, x in enumerate(w):
+        if x in seen:
+            continue
+        seen.add(x)
+        others = w[:i] + w[i + 1:]
+        pi = 2 * sum(c for s, c in signed_sum_counts(others).items() if x + s > 0)
+        if pi:
+            mu = two_adic_valuation(pi)
+            candidates.append(Certificate(max(0, k - 1 - mu), CertificateSource.DECTREE_PI, {"i": i, "p_i": pi, "mu": mu}))
+    return max(candidates, key=lambda c: c.bound, default=Certificate(0, CertificateSource.TRIVIAL, {}))
+
+
 # -- the lemma certificates, each split vector's parities from scratch -----
+
+
+def gf2_factors(w: tuple) -> list[int]:
+    """The shifts d of the factors (1 + X^d) whose product over GF(2) is the
+    product of (1 + X^x) over w: (1 + X^x)^c is the product of
+    (1 + X^(x*2^i)) over the set bits i of c, so one shift per set bit of
+    each value's multiplicity.  A zero weight gives the factor 1 + 1 = 0."""
+    shifts = []
+    for x in set(w):
+        c = w.count(x)
+        while c:
+            shifts.append(x * (c & -c))
+            c &= c - 1
+    return shifts
+
+
+def gf2_product(shifts: list[int], total: int) -> int | None:
+    """The product of the factors (1 + X^d) over GF(2) as one integer, bit
+    j the parity of the number of sign vectors whose plus balls weigh j; or
+    None when the total is at least 64 << factors, where the integer would
+    be long next to the at most 2^factors exponents it holds."""
+    if total >= 64 << len(shifts):
+        return None
+    poly = 1
+    for d in shifts:
+        poly ^= poly << d
+    return poly
+
+
+def _plus_window(total: int, lo: int, hi: int) -> tuple[int, int]:
+    """The plus-ball weights j whose signed sum 2j - total lies in (lo, hi],
+    as the ends (jlo, jhi) of a closed range."""
+    return max((lo + total) // 2 + 1, 0), min((hi + total) // 2, total)
+
+
+def _window_parity(poly: int, jlo: int, jhi: int) -> int:
+    """Parity of the set bits jlo..jhi of poly; 0 on an empty range."""
+    if jlo > jhi:
+        return 0
+    return ((poly >> jlo) & ((1 << (jhi - jlo + 1)) - 1)).bit_count() & 1
+
+
+def signed_sum_parity(weights, lo: int, hi: int) -> int:
+    """Parity of the number of sign vectors whose signed sum lies in the
+    half-open window (lo, hi].
+
+    The parity is read off the product of (1 + X^w) over GF(2), built from
+    one shift-XOR factor per set bit of each value's multiplicity (see
+    `gf2_factors`); a zero weight makes every parity even.  While the
+    total is below 64 << factors the product is one integer and the window
+    is one masked `bit_count`; otherwise it is the set of its exponents,
+    updated by symmetric difference, and an exponent past the window is
+    dropped, as no factor lowers it.  Cost grows with the number of
+    factors, never with the size of the weights.
+    """
+    w = tuple(weights)
+    total = sum(w)
+    jlo, jhi = _plus_window(total, lo, hi)
+    if jlo > jhi:
+        return 0
+    shifts = gf2_factors(w)
+    poly = gf2_product(shifts, total)
+    if poly is not None:
+        return _window_parity(poly, jlo, jhi)
+    exps = {0}
+    for d in shifts:
+        exps ^= {e + d for e in exps if e + d <= jhi}
+    return len([e for e in exps if e >= jlo]) & 1
 
 
 def gf2_quotient(poly: int, t: int, top: int) -> int:
@@ -372,7 +460,7 @@ def fixed_ball_parities(weights, lo: int, hi: int):
     takes `signed_sum_parity` of the others instead."""
     w = tuple(weights)
     total = sum(w)
-    poly = _gf2_product(_gf2_factors(w), total)
+    poly = gf2_product(gf2_factors(w), total)
     for t in sorted(set(w), reverse=True):
         if poly is None or not t:
             others = list(w)

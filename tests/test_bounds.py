@@ -4,15 +4,20 @@ import collections
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from oracles import (
     HEAD_SOURCES,
     base_hard_certificate_both_parts,
     equal_heads,
+    gf2_factors,
+    gf2_product,
     has_sub_multiset,
     head_certificates,
     reference_certify_lower_bound,
+    reference_dectree_bound,
+    reference_solve,
     suly1forma_both_parts,
 )
 
@@ -35,8 +40,7 @@ from majority_game.bounds import (
 from majority_game.core import InputError
 from majority_game.suites import c5_vectors
 from majority_game.weighted import (
-    _gf2_factors,
-    _gf2_product,
+    counting_bound,
     normalize,
     solve_weighted,
     strip_zeros,
@@ -78,6 +82,35 @@ def test_counting_identity():
         counts = signed_sum_counts(w)
         unbalanced = sum(c for s, c in counts.items() if s != 0)
         assert count_balanced(w) == 2 ** len(w) - unbalanced
+
+
+LARGE_COUNTING = [(10**6, 10**6 - 1, 3, 5, 7), (10**5, 10**5 - 1, 3), (10**9, 10**9 - 1, 3, 3), (10**9, 10**9 - 1, 3)]
+
+
+def test_counting_bound_matches_the_reference():
+    # zero balls scale the witness counts; the C5 vectors hold some
+    vectors = [(), (0,), (0, 0, 0)] + weight_multisets(20) + c5_vectors() + LARGE_COUNTING
+    for w in vectors:
+        want = reference_dectree_bound(w)
+        assert dectree_bound(w) == want, w
+        v = strip_zeros(normalize(w))
+        assert counting_bound(v)[0] == want.bound, w
+
+
+def test_large_weights_solve_without_a_total_sized_integer():
+    # packed at X = 2^(k + 1), the product for the first vector would be a
+    # 1.5 MB integer; the dict route keeps the counts to 2^k terms, and only
+    # with it may the 10^9 vectors run
+    weighted.clear()
+    tracemalloc.start()
+    try:
+        assert solve_weighted(LARGE_COUNTING[0]) == reference_solve(LARGE_COUNTING[0], {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19, peak
+    for w in LARGE_COUNTING[1:]:
+        assert solve_weighted(w) == reference_solve(w, {}), w
 
 
 def test_dectree_examples():
@@ -214,8 +247,8 @@ def test_equal_head_part_ii_matches_the_counting_oracle():
     # both total parities, the C5 vectors, and large weights whose product
     # does not fit one integer and takes the exponent-set path
     large = [(10**5, 10**5 - 1, 3), (10**5, 10**5, 7, 3)]
-    assert _gf2_product(_gf2_factors((10**5 - 1, 3)), 10**5 + 2) is None
-    assert _gf2_product(_gf2_factors((10**5, 7, 3)), 10**5 + 10) is None
+    assert gf2_product(gf2_factors((10**5 - 1, 3)), 10**5 + 2) is None
+    assert gf2_product(gf2_factors((10**5, 7, 3)), 10**5 + 10) is None
     fired = 0
     for w in dict.fromkeys(weight_multisets(14) + [strip_zeros(v) for v in c5_vectors()] + large):
         got, both = [], []
@@ -331,9 +364,9 @@ def test_equal_head_parities_are_constant_on_the_split_closure():
 
 def test_large_weights_certify_in_few_parity_calls(monkeypatch):
     # the split search from (10^9, 10^9 - 1, 3) visits thousands of vectors
-    # without a base certificate; their equal-head parities repeat per head
+    # without a base certificate; their equal-head parities repeat per t
     base_calls, parity_calls = [], []
-    base, parity = bounds._base_hard_certificate, weighted.signed_sum_parity
+    base, parity = bounds._base_hard_certificate, weighted.majority_counts
 
     def counting_base(w, *parities):
         base_calls.append(w)
@@ -344,8 +377,8 @@ def test_large_weights_certify_in_few_parity_calls(monkeypatch):
         return parity(*args)
 
     monkeypatch.setattr(bounds, "_base_hard_certificate", counting_base)
-    monkeypatch.setattr(bounds, "signed_sum_parity", counting_parity)
-    monkeypatch.setattr(weighted, "signed_sum_parity", counting_parity)
+    monkeypatch.setattr(bounds, "majority_counts", counting_parity)
+    monkeypatch.setattr(weighted, "majority_counts", counting_parity)
     assert certify_lower_bound((10**9, 10**9 - 1, 3)) == [
         Certificate(1, CertificateSource.SULY1FORMA_II, {"n": 0, "head": 10**9, "fixed_ball": 10**9 - 1})
     ]

@@ -44,7 +44,12 @@ def test_solve_weighted_json_reports_memo_states(capsys):
         code, out = run_cli(capsys, ["solve-weighted", "3,3,7,8,9", "--json"])
         assert code == 0
         states.append(json.loads(out)["memo_states"])
-    assert states == [73, 73]
+    assert states == [3, 3]
+    # (9, 8, 7, 3, 3) is closed by its counting bound; here the bound also cuts
+    weighted.clear()
+    code, out = run_cli(capsys, ["solve-weighted", "1,2,3,4,5,6,7", "--json"])
+    payload = json.loads(out)
+    assert (payload["memo_states"], payload["closed_by_bound"], payload["cut_at_bound"]) == (15, 6, 5)
 
 
 def test_solve_graph_from_file(capsys, path6_file):

@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 
 from oracles import (
     fixed_ball_parities,
+    gf2_factors,
+    gf2_product,
     gf2_quotient,
     reference_adversarial_merge_weight,
     reference_optimal_query,
     reference_solve,
+    signed_sum_parity,
 )
 
 from majority_game import weighted
@@ -29,7 +32,6 @@ from majority_game.weighted import (
     relevant,
     relevant_indices,
     signed_sum_counts,
-    signed_sum_parity,
     solve_weighted,
     strip_zeros,
     weight_multisets,
@@ -80,13 +82,30 @@ def test_solver_matches_naive_oracle():
 
 @pytest.mark.parametrize("vectors", [c5_vectors(), [(1,) * 24]], ids=["C5", "ones24"])
 def test_cold_memo_matches_the_sorting_reference(vectors):
-    # spliced children, same move order and pruning: the same states, solved
-    # in the same order, with the same values
+    # spliced children, same move order, and the counting bound on top: a
+    # subset of the reference's states, each with the reference's value
     weighted.clear()
     memo = {}
     for w in vectors:
         assert solve_weighted(w) == reference_solve(strip_zeros(tuple(sorted(w, reverse=True))), memo), w
-    assert list(weighted._memo.items()) == list(memo.items())
+    assert all(memo.get(key) == value for key, value in weighted._memo.items())
+    if len(vectors) > 1:  # C5: the bound closes and cuts searches, so fewer states
+        assert len(weighted._memo) < len(memo)
+
+
+K11_ROWS = [(7, 7, 1, 5, 9, 8, 7, 5, 8, 6, 10), (3, 10, 2, 5, 2, 8, 8, 8, 11, 7, 4), (1, 2, 2, 6, 3, 12, 11, 5, 5, 10, 4)]
+
+
+def test_solver_matches_the_unpruned_reference():
+    # the solver reads the counting bound, so only a search without it is an
+    # independent check: from a cold memo, largest first, every value and
+    # every memo entry against the reference's
+    weighted.clear()
+    memo = {}
+    vectors = weight_multisets(24) + c5_vectors() + K11_ROWS + [(1,) * k for k in range(1, 33)]
+    for w in sorted(vectors, key=lambda v: (sum(v), len(v)), reverse=True):
+        assert solve_weighted(w) == reference_solve(strip_zeros(tuple(sorted(w, reverse=True))), memo), w
+    assert all(memo.get(key) == value for key, value in weighted._memo.items())
 
 
 def test_optimal_query_and_merge_match_the_sorting_reference():
@@ -101,7 +120,7 @@ def test_optimal_query_and_merge_match_the_sorting_reference():
                     assert adversarial_merge_weight(v, a, b) == reference_adversarial_merge_weight(v, a, b, memo)
 
 
-@pytest.mark.parametrize("k", range(1, 25))
+@pytest.mark.parametrize("k", range(1, 49))
 def test_all_ones_value(k):
     assert solve_weighted((1,) * k) == k - popcount(k)
 
@@ -212,11 +231,11 @@ def test_fixed_ball_parities_match_the_counts():
 def test_gf2_quotient_removes_one_factor():
     for w in weight_multisets(12):
         total = sum(w)
-        poly = weighted._gf2_product(weighted._gf2_factors(w), total)
+        poly = gf2_product(gf2_factors(w), total)
         for t in set(w):
             others = list(w)
             others.remove(t)
-            want = weighted._gf2_product(weighted._gf2_factors(tuple(others)), total - t)
+            want = gf2_product(gf2_factors(tuple(others)), total - t)
             got = gf2_quotient(poly, t, total - t) & ((1 << (total - t + 1)) - 1)
             assert got == want, (w, t)
 
