@@ -5,9 +5,11 @@ lower-bound lemma on a weight vector and, when it holds, records the
 concluded bound.  Bounds are always sound; the tests check them
 against the independent oracles in `tests/oracles.py`: the unpruned
 minimax for m(w), and each bound and lemma computed directly from its
-statement.  The lemmas themselves are not re-proved here.  The counting
-bound is computed in `weighted`, which also reads it to prune its own
-search; `dectree_bound` only reports it.
+statement.  The lemmas themselves are not re-proved here.  Nothing here
+counts sign vectors: `count_balanced`, the counting bound and the
+equal-head parities all read the counts of `weighted.majority_counts`.
+The counting bound is computed in `weighted`, which also reads it to prune
+its own search; `dectree_bound` only reports it.
 
 The eight power-of-two-head sources (SULY1_I/II, SULY1COR_I/II, SULY2_I/II,
 SULY2COR and O1G) are one rule, `_head_rule`, with c in {0, 1, 3}: a total
@@ -57,7 +59,6 @@ from .weighted import (
     hard_level,
     majority_counts,
     normalize,
-    signed_sum_counts,
     solve_weighted,
     strip_zeros,
     weight_multisets,
@@ -110,18 +111,12 @@ def two_adic_valuation(k: int):
 
 
 def count_balanced(weights) -> int:
-    """Number p of balanced colorings (sign vectors summing to zero)."""
-    return signed_sum_counts(normalize(weights)).get(0, 0)
-
-
-def count_majority_with(weights, i: int) -> int:
-    """Number p_i of colorings in which ball i sits in the strict-majority
-    class, both colors of ball i counted."""
-    w = tuple(weights)
-    others = w[:i] + w[i + 1:]
-    counts = signed_sum_counts(others)
-    above = sum(c for s, c in counts.items() if w[i] + s > 0)
-    return 2 * above
+    """Number p of balanced colorings (sign vectors summing to zero), read
+    from `weighted.majority_counts` on the balls of positive weight; each
+    zero ball doubles it."""
+    w = normalize(weights)
+    z = w.count(0)  # the zero balls sort last
+    return next(majority_counts(w[: len(w) - z])) << z
 
 
 def dectree_bound(weights) -> Certificate:

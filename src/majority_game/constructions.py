@@ -90,13 +90,13 @@ def algorithm_a_queries(graph: Graph, path_vs, leaf_vs) -> list[Edge]:
     path_vs, leaf_vs = tuple(path_vs), tuple(leaf_vs)
     size = len(path_vs)
     if size == 0 or size & (size - 1) != 0 or len(leaf_vs) != size:
-        raise ValueError("copy must have a power-of-two path with matching leaves")
+        raise InputError("copy must have a power-of-two path with matching leaves")
     for i in range(size - 1):
         if not graph.has_edge(path_vs[i], path_vs[i + 1]):
-            raise ValueError(f"missing path edge ({path_vs[i]},{path_vs[i + 1]})")
+            raise InputError(f"missing path edge ({path_vs[i]},{path_vs[i + 1]})")
     for pv, lv in zip(path_vs, leaf_vs):
         if not graph.has_edge(pv, lv):
-            raise ValueError(f"missing leaf edge ({pv},{lv})")
+            raise InputError(f"missing leaf edge ({pv},{lv})")
 
     def rec(ps, ls) -> list[Edge]:
         if len(ps) == 1:
@@ -132,7 +132,6 @@ class MinedgeQuerier:
 
     def __init__(self, n: int):
         self.construction = build_minedge_graph(n)
-        self.n = n
         self.k = n // 2
         self.b_eff = len(self.construction.hubs)
         self._endgame_solver = None

@@ -16,6 +16,9 @@ once for every layer: when a position is over, and the sum and the
 difference a query can leave (the weighted game of Saks and Werman).
 ``require_merge`` is the one check that an adversary's or a merge rule's
 weight is one of the two; it raises ``StrategyError``.
+``outcome_valid`` checks a claimed outcome by the same rule, from the
+weights alone.  Nothing here counts sign vectors; only ``weighted`` does,
+and this module imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -177,10 +180,6 @@ class Component:
     mask_b: int
 
     @staticmethod
-    def make(side1, side2) -> "Component":
-        return Component.from_masks(sum(1 << v for v in side1), sum(1 << v for v in side2))
-
-    @staticmethod
     def from_masks(a: int, b: int) -> "Component":
         if a and (not b or b & -b < a & -a):
             a, b = b, a
@@ -193,10 +192,6 @@ class Component:
     @property
     def side_b(self) -> tuple[int, ...]:
         return _mask_vertices(self.mask_b)
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return _mask_vertices(self.mask_a | self.mask_b)
 
     @property
     def weight(self) -> int:
@@ -248,7 +243,7 @@ class QueryState:
 
     def component_index(self, v: int) -> int:
         if not 0 <= v < self.graph.n:
-            raise ValueError(f"vertex {v} not in any component")
+            raise InputError(f"vertex {v} not in any component")
         return self.owner[v]
 
 
@@ -344,22 +339,19 @@ def coloring_outcome(coloring: str) -> Outcome:
 
 
 def outcome_valid(state: QueryState, outcome: Outcome) -> bool:
-    """Check an outcome claim against every consistent coloring, by signed
-    sums.
+    """Check an outcome claim against every consistent coloring, by the
+    rule of the weighted game.
 
     A consistent coloring picks the red side of each component, so its
-    red-minus-blue difference is a signed sum of the component weights;
-    the colorings are checked grouped by that difference, one key of
-    ``weighted.signed_sum_counts`` each.  No majority holds iff the only
-    signed sum of all the weights is 0.  Vertex v's color is the majority
-    iff d + s > 0 for every signed sum s of the other components' weights,
-    where d is the size of v's side of its component minus the other's.
+    red-minus-blue difference is a signed sum of the component weights.
+    No majority holds iff that sum is 0 for every choice, that is, iff
+    every component is balanced.  Vertex v's color is the majority iff
+    d + s > 0 for every signed sum s of the other components' weights,
+    where d is the size of v's side of its component minus the other's;
+    the least such s is minus the others' total.
     """
-    from .weighted import signed_sum_counts
-
+    weights = [c.weight for c in state.components]
     if outcome.majority is None:
-        return set(signed_sum_counts(c.weight for c in state.components)) == {0}
+        return not any(weights)
     i = state.component_index(outcome.majority)
-    d = state.components[i].excess(outcome.majority)
-    others = (c.weight for j, c in enumerate(state.components) if j != i)
-    return all(d + s > 0 for s in signed_sum_counts(others))
+    return state.components[i].excess(outcome.majority) > sum(weights) - weights[i]

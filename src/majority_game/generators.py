@@ -218,5 +218,5 @@ def generate(kind: str, n: int, seed: int = 0, p: float = 0.5):
     """The instance of a kind in ``KINDS``: a Graph, or an iterator of
     Graphs for free-trees."""
     if kind not in KINDS:
-        raise ValueError(f"unknown instance kind: {kind}")
+        raise InputError(f"unknown instance kind: {kind}")
     return KINDS[kind](n, seed, p)

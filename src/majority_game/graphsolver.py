@@ -254,10 +254,6 @@ class GameView:
     def size(self, i: int) -> int:
         return self.masks[i].bit_count()
 
-    @staticmethod
-    def from_state(state: QueryState) -> "GameView":
-        return GameView(state.graph, encode_state(state))
-
 
 class _CountBounds(dict):
     """Weighted-game values keyed by a weight count with its zero field
@@ -281,9 +277,9 @@ class _CountBounds(dict):
 
 class GraphSolver:
     def __init__(self, graph: Graph, canonical: str = "auto", table_cap: int | None = None):
-        check_solvable(graph)
         if graph.n >= MAX_SOLVER_N:
             raise InputError(f"solver supports n < {MAX_SOLVER_N}, got n = {graph.n}")
+        check_solvable(graph)
         if table_cap is not None and table_cap < 0:
             raise InputError(f"the table cap must be non-negative, got {table_cap}")
         self.graph = graph
@@ -486,9 +482,7 @@ def solve_graph(graph: Graph, canonical: str = "auto", table_cap: int | None = N
 
 def optimal_querier(graph: Graph):
     """A deterministic querier achieving m(G) against every adversary."""
-    solver = GraphSolver(graph)
-    solver.solve()
-    return solver.best_query
+    return GraphSolver(graph).best_query
 
 
 def answer_for_target(state: QueryState, edge: Edge, target: int) -> Answer:

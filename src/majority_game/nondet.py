@@ -122,8 +122,8 @@ def cert(graph: Graph, coloring: str) -> CertReport:
     the first minimum one in `combinations` order.  Each subset is tested
     by the signed sums of the components it induces.
     """
-    check_solvable(graph)
     coloring = parse_coloring(coloring, graph.n)
+    check_solvable(graph)
     edges = graph.sorted_edges
     if len(edges) > MAX_CERT_EDGES:
         raise InputError(f"brute-force certificate limited to {MAX_CERT_EDGES} edges, "
@@ -154,10 +154,10 @@ def colorings(n: int):
 
 def m_nd(graph: Graph) -> int:
     """Worst-case certificate size over all colorings (up to global flip)."""
-    check_solvable(graph)
     n = graph.n
     if n > MAX_MND_N:
         raise InputError(f"coloring enumeration limited to n <= {MAX_MND_N}, got n = {n}")
+    check_solvable(graph)
     upper = n - len(graph.components())
     best = 0
     for coloring in colorings(n):

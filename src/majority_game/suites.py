@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from . import adversary as adv
 from . import bounds, constructions, generators, nondet, weighted
 from .bounds import CertificateSource, popcount
-from .core import Graph, merge_weights
+from .core import Graph, InputError, merge_weights
 from .graphsolver import forced_queries, solve_graph
 
 
@@ -528,5 +528,5 @@ SUITES = {
 
 def run_suite(name: str, seed: int = 0) -> list[CheckRecord]:
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
+        raise InputError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
     return [r for criterion in SUITES[name] for r in criterion(seed=seed)]

@@ -8,15 +8,20 @@ adversary picks the answer.  The game ends when either all weights are zero
 class is the majority).  `solve_weighted` computes the exact worst-case
 query count by memoized minimax over weight multisets; a move's SAME
 child is not searched once its DIFF child shows that the move cannot win,
-and the memo holds only exact values.  `signed_sum_counts` counts signed
-sums exactly, for relevance and for the counts in `bounds`.
+and the memo holds only exact values.
+
+Sign vectors are counted here and nowhere else in the package.
+`signed_sum_counts` counts signed sums exactly: `relevant` reads them, and
+so does `majority_counts` when its weights are too large to pack.
 `majority_counts` counts the balanced sign vectors p and, per weight, the
 sign vectors p_i that put ball i on the heavier side, and `counting_bound`
 turns them into Saks and Werman's bound max(k - mu(p), k - 1 - mu(p_i)),
 mu the 2-adic valuation.  The bound is computed here and only here:
 `_solve` reads it to close a state or cut its move loop,
-`bounds.dectree_bound` reports it as a certificate, and the equal-head
-checks in `bounds` read the parities of p/2 and p_t/2 from the same counts.
+`bounds.dectree_bound` reports it as a certificate, `bounds.count_balanced`
+reads p, and the equal-head checks in `bounds` read the parities of p/2
+and p_t/2 from the same counts.  `core.outcome_valid` needs no count: it
+checks a claim by the rule of the game.
 """
 
 from __future__ import annotations
@@ -208,7 +213,8 @@ def adversarial_merge_weight(w, a: int, b: int) -> int:
 
 def signed_sum_counts(weights) -> dict[int, int]:
     """Count, for every achievable signed sum, the number of sign vectors
-    producing it.  A zero weight doubles every count.
+    producing it.  A zero weight doubles every count.  Its callers are
+    `relevant` and the dict route of `majority_counts`.
 
     The counts are the coefficients of the product of (1 + X^w) over the
     weights: the coefficient of X^j counts the sign vectors whose plus

@@ -7,8 +7,8 @@ and the atlas inputs that several differential tests share.
   exactly, then take the smallest edge across a pair of least value;
 * the hardness base check that runs both parts of the equal-head lemma on
   every vector, whatever the parity of its total;
-* the counting bound, each p_i from the signed-sum counts of the other
-  balls, zero balls included;
+* the counts p and p_i and the counting bound, each p_i from the
+  signed-sum counts of the other balls, zero balls included;
 * the lemma certificates with each split vector's equal-head parities
   computed from scratch, head by head: the equal-head parts, the hardness
   base check and the split search that copies its chain into every
@@ -343,6 +343,21 @@ def base_hard_certificate_both_parts(w):
 
 
 # -- the counting bound from the signed-sum counts of each ball's others ---
+
+
+def reference_count_balanced(weights) -> int:
+    """p: the sign vectors of the normalized weights summing to zero."""
+    return signed_sum_counts(normalize(weights)).get(0, 0)
+
+
+def reference_count_majority_with(weights, i: int) -> int:
+    """p_i: the sign vectors in which ball i sits in the strict-majority
+    class, both colors of ball i counted."""
+    w = tuple(weights)
+    others = w[:i] + w[i + 1:]
+    counts = signed_sum_counts(others)
+    above = sum(c for s, c in counts.items() if w[i] + s > 0)
+    return 2 * above
 
 
 def reference_dectree_bound(weights):

@@ -14,7 +14,7 @@ from majority_game.generators import (
     random_tree,
     star_graph,
 )
-from majority_game.graphsolver import Game, GameView, forced_queries, play
+from majority_game.graphsolver import Game, GameView, encode_state, forced_queries, play
 from majority_game.weighted import solve_weighted
 
 
@@ -60,7 +60,7 @@ def test_eventrees_rejects_bad_input():
 def test_treelemma_first_answer_on_p4():
     g = path_graph(4)
     strat = adv.TreelemmaAdversary(g)
-    view = GameView.from_state(initial_state(g))
+    view = GameView(g, encode_state(initial_state(g)))
     # delta({0,1}) = 1, so the even-size rule wants weight 2
     assert strat.choose_merge(view, (0, 1)) == 2
 
@@ -73,7 +73,7 @@ def test_treelemma_odd_odd_forced_balance():
     state = apply_query(state, (4, 5), Answer.SAME)
     state = apply_query(state, (5, 6), Answer.DIFF)  # component {4,5,6} weight 1
     strat = adv.TreelemmaAdversary(g)
-    view = GameView.from_state(state)
+    view = GameView(g, encode_state(state))
     # odd + odd, union {1..6} has boundary edges (0,1) and (6,7): delta 0
     assert strat.choose_merge(view, (3, 4)) == 0
 
@@ -86,7 +86,7 @@ def test_treelemma_full_set_merge_keeps_weight_when_possible():
     state = apply_query(state, (3, 4), Answer.SAME)
     state = apply_query(state, (4, 5), Answer.DIFF)  # {3,4,5} weight 1
     strat = adv.TreelemmaAdversary(g)
-    view = GameView.from_state(state)
+    view = GameView(g, encode_state(state))
     # the merge covers every vertex: no proper-subset condition constrains
     # it, and a terminal no-majority state is not gifted
     assert strat.choose_merge(view, (2, 3)) == 2
@@ -276,7 +276,7 @@ def test_playbacks_keep_weights_above_127():
     querier = adv.spanning_querier(g)
     while game.outcome() is None:
         game.ask(*querier(game.state))
-        assert game.view.codes == GameView.from_state(game.state).codes
+        assert game.view.codes == GameView(g, encode_state(game.state)).codes
     assert max(game.view.weights) == 151
     transcript = play(g, adv.spanning_querier(g), adv.AlwaysSameAdversary())
     assert len(transcript) == 150

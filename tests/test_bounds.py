@@ -16,6 +16,8 @@ from oracles import (
     has_sub_multiset,
     head_certificates,
     reference_certify_lower_bound,
+    reference_count_balanced,
+    reference_count_majority_with,
     reference_dectree_bound,
     reference_solve,
     suly1forma_both_parts,
@@ -28,20 +30,20 @@ from majority_game.bounds import (
     CertificateSource,
     certify_lower_bound,
     count_balanced,
-    count_majority_with,
     dectree_bound,
     hardness_upper_bound,
     is_hard,
     popcount,
     search_obs_reverse_counterexample,
-    signed_sum_counts,
     two_adic_valuation,
 )
 from majority_game.core import InputError
 from majority_game.suites import c5_vectors
 from majority_game.weighted import (
     counting_bound,
+    majority_counts,
     normalize,
+    signed_sum_counts,
     solve_weighted,
     strip_zeros,
     weight_multisets,
@@ -71,10 +73,18 @@ def test_count_balanced_examples():
     assert count_balanced((0,)) == 2
 
 
+def _majority_with(w):
+    """Each distinct weight x of the zero-free descending w with its p_x
+    from `majority_counts`."""
+    counts = majority_counts(w)
+    next(counts)  # p
+    return dict(zip(dict.fromkeys(w), counts))
+
+
 def test_count_majority_examples():
-    assert count_majority_with((1, 1), 0) == 2
-    assert count_majority_with((3, 1), 0) == 4
-    assert count_majority_with((3, 1), 1) == 2
+    assert _majority_with((1, 1))[1] == 2
+    assert _majority_with((3, 1))[3] == 4
+    assert _majority_with((3, 1))[1] == 2
 
 
 def test_counting_identity():
@@ -85,6 +95,20 @@ def test_counting_identity():
 
 
 LARGE_COUNTING = [(10**6, 10**6 - 1, 3, 5, 7), (10**5, 10**5 - 1, 3), (10**9, 10**9 - 1, 3, 3), (10**9, 10**9 - 1, 3)]
+
+
+def test_counts_match_the_references():
+    # p from count_balanced and each p_x from majority_counts on the balls of
+    # positive weight, against the signed-sum counts of the whole vector:
+    # each of the z zero balls doubles every count
+    vectors = [(0,) * 3] + weight_multisets(20) + c5_vectors() + LARGE_COUNTING
+    for w in vectors:
+        assert count_balanced(w) == reference_count_balanced(w), w
+        w = normalize(w)
+        z = w.count(0)
+        for x, count in _majority_with(w[: len(w) - z]).items():
+            assert count << z == reference_count_majority_with(w, w.index(x)), (w, x)
+    assert count_balanced(()) == reference_count_balanced(()) == 1
 
 
 def test_counting_bound_matches_the_reference():

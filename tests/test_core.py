@@ -143,10 +143,10 @@ def test_rejects_intra_component_and_foreign_edges():
 
 
 def test_canonical_split_is_idempotent():
-    c = Component.make((3, 1), (2,))
-    assert Component.make(c.side_a, c.side_b) == c
-    assert Component.make(c.side_b, c.side_a) == c
-    assert Component.make((), (0,)).side_a == ()
+    c = Component.from_masks(0b1010, 0b0100)  # sides {1, 3} and {2}
+    assert Component.from_masks(c.mask_a, c.mask_b) == c
+    assert Component.from_masks(c.mask_b, c.mask_a) == c
+    assert Component.from_masks(0, 0b1).side_a == ()
 
 
 def test_mask_state_matches_the_tuple_state():
@@ -190,8 +190,8 @@ def random_plays(draw):
         if len(comps) < 2:
             break
         i, j = sorted(draw(st.permutations(range(len(comps))))[:2])
-        u = comps[i].vertices[0]
-        v = comps[j].vertices[0]
+        u = comps[i].min_vertex()
+        v = comps[j].min_vertex()
         ans = draw(st.sampled_from([Answer.SAME, Answer.DIFF]))
         state = apply_query(state, (u, v), ans)
     return state
@@ -213,7 +213,7 @@ def test_merge_algebra_both_values_reachable(state):
     if len(comps) < 2:
         return
     a, b = comps[0], comps[1]
-    u, v = a.vertices[0], b.vertices[0]
+    u, v = a.min_vertex(), b.min_vertex()
     got = set()
     for ans in (Answer.SAME, Answer.DIFF):
         nxt = apply_query(state, (u, v), ans)

@@ -429,7 +429,7 @@ def test_atlas_states_lie_between_the_solver_bounds():
     for g in atlas_graphs(6):
         solver = GraphSolver(g)
         for state, value in reference_search(g)[1].values():
-            view = GameView.from_state(state)
+            view = GameView(g, encode_state(state))
             nbrs, cnt = solver._carried(view)
             lb = solver.bounds[cnt >> solver.shift]
             ub = solver._expand(view.codes, view.codes, nbrs, cnt, g.n, g.n)
