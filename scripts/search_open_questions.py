@@ -3,7 +3,10 @@
 whatever the search finds.
 
   * reverse pair-merge: a non-hard (a, a, rest) whose merge (2a, rest) is
-    hard would refute the reverse of the forward hardness propagation;
+    hard would refute the reverse of the forward hardness propagation; the
+    section also counts the lemma certificates over every weight multiset
+    of total at most --max-total whose bound is above the counting bound
+    (`dectree_bound`), the only ones a lemma adds to it;
   * odd paths: for odd n, the game value m(P_n), the verification
     complexity m_nd(P_n) and the savings n - m_nd(P_n) (which grows like
     sqrt(n)), with the search's expanded nodes, the row's seconds and the
@@ -34,11 +37,12 @@ import time
 from collections import Counter
 
 from majority_game.adversary import TreelemmaAdversary, verify_treelemma_all_orders
-from majority_game.bounds import popcount, search_obs_reverse_counterexample
+from majority_game.bounds import certify_lower_bound, dectree_bound, popcount, search_obs_reverse_counterexample
 from majority_game.constructions import build_minedge_graph, minedge_querier, verify_querier
 from majority_game.generators import free_trees, path_graph
 from majority_game.graphsolver import forced_queries, quotient_cache_info, solve_graph
 from majority_game.nondet import MAX_MND_N, m_nd
+from majority_game.weighted import weight_multisets
 
 
 def _peak_rss_mb() -> float:
@@ -66,6 +70,16 @@ def main(argv=None) -> int:
         else:
             w, merged = found
             print(f"  [{label}] counterexample: {w} is not hard but its merge {merged} is")
+    start = time.time()
+    vectors = weight_multisets(args.max_total)
+    counted = above = 0
+    for w in vectors:
+        counting = dectree_bound(w).bound
+        certs = certify_lower_bound(w)
+        counted += len(certs)
+        above += sum(c.bound > counting for c in certs)
+    print(f"  {above} of {counted} certificates over {len(vectors)} vectors above the counting bound"
+          f" ({time.time() - start:.1f}s)")
 
     print(f"\nodd paths (n <= {args.max_path_n}):")
     print("  n\tm\tm_nd\tn-m_nd\tnodes\tseconds\tpeak_rss_mb")

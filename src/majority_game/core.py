@@ -124,9 +124,30 @@ class Graph:
 
     def is_majority_solvable(self) -> bool:
         """The game has an answer for every coloring iff the graph is
-        connected (n even) or has at most two components (n odd)."""
-        k = len(self.components())
-        return k == 1 if self.n % 2 == 0 else k <= 2
+        connected (n even) or has at most two components (n odd).
+
+        The components are counted, not built, and the count stops at the
+        first one past the limit.  Each edge joins at most two components,
+        so fewer than n - limit edges decide it before any walk."""
+        limit = 1 + self.n % 2
+        if self.n - len(self.edges) > limit:
+            return False
+        seen = bytearray(self.n)
+        k = 0
+        for s in range(self.n):
+            if seen[s]:
+                continue
+            k += 1
+            if k > limit:
+                return False
+            seen[s] = 1
+            stack = [s]
+            while stack:
+                for y in self.adjacency[stack.pop()]:
+                    if not seen[y]:
+                        seen[y] = 1
+                        stack.append(y)
+        return k >= 1
 
     def to_text(self) -> str:
         lines = [f"{self.n} {len(self.edges)}"]

@@ -15,6 +15,7 @@ from oracles import (
     gf2_product,
     has_sub_multiset,
     head_certificates,
+    obs_reduction,
     reference_certify_lower_bound,
     reference_count_balanced,
     reference_count_majority_with,
@@ -248,21 +249,13 @@ def test_obs_reverse_search_runs():
         assert is_hard(merged) and not is_hard(w)
 
 
-def test_hardness_base_check_matches_both_equal_head_parts(monkeypatch):
+def test_hardness_base_check_matches_both_equal_head_parts():
     # the base check runs only the equal-head part that can reach the hard
-    # level; running both must give the same certificate, or None
-    visited = []
-    base = bounds._base_hard_certificate
-
-    def recording(w, *parities):
-        visited.append(w)
-        return base(w, *parities)
-
-    monkeypatch.setattr(bounds, "_base_hard_certificate", recording)
-    for w in c5_vectors():
-        certify_lower_bound(w)
-    monkeypatch.undo()
+    # level; running both must give the same certificate, or None, on every
+    # vector the split search could visit from a C5 vector
+    visited = [vec for w in dict.fromkeys(strip_zeros(v) for v in c5_vectors()) for vec in _split_closure(w)]
     assert len(visited) > 1000
+    base = bounds._base_hard_certificate
     for w in dict.fromkeys(weight_multisets(14) + visited):
         assert base(w) == base_hard_certificate_both_parts(w), w
 
@@ -311,17 +304,38 @@ def test_head_rule_matches_the_reference_lemmas():
 
 
 LARGE_VECTORS = [(10**5, 10**5 - 1, 3), (10**5, 10**5, 7, 3), (10**9, 10**9 - 1, 3)]
+# the split search from this vector reaches the cap of OBS_MAX_STATES
+CAPPED = (2**31 - 127, 128)
+SINGLE_BALLS = [(x,) for x in range(1, 25)]
 
 
 def test_certify_matches_the_per_vector_reference():
     # the reference computes every split vector's equal-head parities from
     # its own GF(2) products and copies its chain into every frontier entry
     fired = 0
-    for w in weight_multisets(18) + c5_vectors() + LARGE_VECTORS:
+    for w in weight_multisets(18) + c5_vectors() + LARGE_VECTORS + [CAPPED] + SINGLE_BALLS:
         got = certify_lower_bound(w)
         assert got == reference_certify_lower_bound(w), w
         fired += any(c.source is CertificateSource.OBS_REDUCTION for c in got)
     assert fired > 100
+
+
+def test_split_closure_decision_matches_the_reference_walk():
+    # wherever the decision rules w's split closure out, the reference walk,
+    # which checks every split vector it visits, certifies none; a single
+    # ball is never ruled out when it splits, as (12,) certifies only
+    # through [6, 6] -> [6, 3, 3]
+    ruled_out = 0
+    for v in weight_multisets(24) + c5_vectors() + LARGE_VECTORS + [CAPPED] + SINGLE_BALLS:
+        w = strip_zeros(normalize(v))
+        if not w or bounds._split_closure_may_certify(w, {}):
+            continue
+        certs = []
+        obs_reduction(w, certs)
+        assert certs == [], w
+        assert len(w) > 1 or w[0] % 2, w
+        ruled_out += any(x % 2 == 0 for x in w)  # the walk would have visited a split vector
+    assert ruled_out > 3000
 
 
 def _split_closure(w):
@@ -387,8 +401,12 @@ def test_equal_head_parities_are_constant_on_the_split_closure():
 
 
 def test_large_weights_certify_in_few_parity_calls(monkeypatch):
-    # the split search from (10^9, 10^9 - 1, 3) visits thousands of vectors
-    # without a base certificate; their equal-head parities repeat per t
+    # (10^9, 10^9 - 1, 3) has an even total, p/2 even and half its total
+    # no power of two, so no split vector can be certified and the split
+    # search is skipped; (2^31 - 127, 128) has two balls and an odd total,
+    # which the decision admits, and the search visits thousands of vectors
+    # up to its cap without a certificate; their equal-head parities repeat
+    # per t
     base_calls, parity_calls = [], []
     base, parity = bounds._base_hard_certificate, weighted.majority_counts
 
@@ -406,6 +424,11 @@ def test_large_weights_certify_in_few_parity_calls(monkeypatch):
     assert certify_lower_bound((10**9, 10**9 - 1, 3)) == [
         Certificate(1, CertificateSource.SULY1FORMA_II, {"n": 0, "head": 10**9, "fixed_ball": 10**9 - 1})
     ]
+    assert len(base_calls) == 0
+    assert 0 < len(parity_calls) < 100
+    base_calls.clear()
+    parity_calls.clear()
+    assert certify_lower_bound((2147483521, 128)) == []
     assert len(base_calls) > 1000
     assert 0 < len(parity_calls) < 100
 

@@ -43,6 +43,11 @@ def test_search_open_questions_smoke(capsys):
     assert load_script("search_open_questions").main(argv) == 0
     out = capsys.readouterr().out
     assert "odd paths (n <= 7):\n" in out
+    # no lemma certificate over the 29 multisets of total <= 6 beats the counting bound
+    section = out.split("reverse pair-merge search (totals <= 6):\n")[1]
+    row, stats = section.splitlines()[2].split(" (")
+    assert row == "  0 of 44 certificates over 29 vectors above the counting bound"
+    assert re.fullmatch(r"\d+\.\ds\)", stats), stats
     section = out.split("hub construction answer trees (n <= 8):\n")[1]
     rows, stats = zip(*(line.split(" (") for line in section.splitlines()[:5]))
     assert all(re.fullmatch(r"\d+\.\ds, peak RSS [1-9]\d* MB\)", s) for s in stats), stats
