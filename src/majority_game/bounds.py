@@ -37,15 +37,13 @@ split closure that has the ball t, or at least two balls.  Each
 p/2 mod 2 under None, filled on first use and shared by the direct checks
 on w and the hardness search; nothing outlives the call.
 
-The hardness search walks w's split closure only when some split vector
-can pass its base check, as `_split_closure_may_certify` decides from
-invariants of the closure: the head rules' premise holds on all of it or
-none, and their pool and ball count are largest on its fully split
-vector; part (i) needs an even total and p/2 odd, part (ii) an odd total
-and p_t/2 odd for a ball t of w, since a halving keeps that parity on
-three balls or more.  A single ball is always walked, as p/2 is 0 on (x,)
-and 1 on (x/2, x/2).  Where the closure is ruled out the walk would find
-nothing, so skipping it leaves every certificate as it was.
+A chain of splits that ends in a base-certified vector is sound by the
+pair-merge observation, so the hardness search may check any split vector;
+it checks one, w with its largest even ball split (a single ball split
+twice), and over every multiset of total at most 36, the C5 vectors of
+seeds 0 and 1, the large test vectors and single balls up to 512 it emits
+exactly what the breadth-first walk of w's split closure in
+`tests/oracles.py` emits.
 
 All counting uses unbounded integers.  Zero-weight balls are stripped
 before any lemma hypothesis is evaluated: removing a weight-0 ball never
@@ -58,7 +56,6 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
 from operator import neg
 
@@ -76,7 +73,6 @@ from .weighted import (
 )
 
 MU_INFINITE = math.inf
-OBS_MAX_STATES = 4000  # split vectors the hardness search visits at most
 
 
 class CertificateSource(str, enum.Enum):
@@ -288,84 +284,34 @@ def _base_hard_certificate(w: WeightVector, parities: dict | None = None) -> Cer
     return next((c for c in certs if c.bound == level), None)
 
 
-def _split_closure_may_certify(w: WeightVector, parities: dict) -> bool:
-    """False only when no vector split from the descending, zero-free w can
-    pass `_base_hard_certificate`, decided from invariants of w's split
-    closure; reads and fills `parities`.
-
-    A split keeps the total, so the head rules' premise, total - r = 2*p2
-    with p2 = 2^n, holds on every vector of the closure or on none, and
-    their pool of powers of two (ones included) and the ball count are
-    largest once every ball 2^j*o, o odd, is split into 2^j balls o.  The
-    equal-head parities are those of w on every vector with two balls or
-    more, so part (i) needs an even total and p/2 odd, and part (ii) an odd
-    total and p_t/2 odd for a ball t of a split vector.  Such a t is a ball
-    of w or a halving of one, with the same parity: splitting x = 2a of a
-    vector of k >= 3 balls and an odd total adds to p_x/2 the sign vectors
-    of the other k - 1 balls with a positive sum, 2^(k - 2) of them, to give
-    p_a/2.  With k = 2 the smaller ball has p_t/2 = 1.  A single ball must be
-    walked: p/2 is 0 on (x,) and 1 on (x/2, x/2)."""
-    if all(x & 1 for x in w):  # nothing splits
-        return False
-    if len(w) == 1:
-        return True
-    total = sum(w)
-    r = total & 1
-    p2 = total >> 1
-    if p2 & (p2 - 1) == 0 and sum(x for x in w if x & (x - 1) == 0) >= p2:
-        if not r or sum(x & -x for x in w) > p2 + 1:
-            return True
-    if not r:
-        return bool(_half_parity(w, parities))
-    return any(_half_parity(w, parities, t) for t in dict.fromkeys(w))
-
-
 def _obs_reduction(w: WeightVector, certs: list[Certificate], parities: dict | None = None) -> None:
     """Forward hardness propagation: splitting a ball of weight 2a into two
     balls of weight a undoes one merge of equal weights, and hardness of the
-    split vector implies hardness of the merged one.  Search split chains of
-    the descending w, breadth first, for a vector certified hard by the base
-    lemmas, once `_split_closure_may_certify` finds that some split vector
-    can be; when none can, the walk would end with nothing found, so it is
-    skipped.
+    split vector implies hardness of the merged one.  Split the largest even
+    ball, the first even one of the descending w, into two halves spliced
+    in at their sorted place, and base-check that vector; a single ball, whose
+    split leaves two balls, is split once more the same way.  The witness
+    chain runs from w to the certified vector.
 
-    Over GF(2), (1 + X^a)^2 = 1 + X^2a, so a split leaves the product of
-    (1 + X^x) over the balls, and the total, unchanged: every vector of the
-    search has w's product, and the equal-head parities, p/2 and p_t/2
-    mod 2, are read off it, so one `parities` dict keyed by t serves the
-    whole search (see the module docstring).  Each vector keeps only a
-    link to the vector it was split from; the chain is built from those
-    links once a base certificate is found, and each split child is the
-    parent with the two halves spliced in at their sorted place."""
+    A split leaves the GF(2) product of (1 + X^x) over the balls, and the
+    total, unchanged, so the split vectors' equal-head parities are w's and
+    one `parities` dict serves them (see the module docstring)."""
     parities = {} if parities is None else parities
-    if not _split_closure_may_certify(w, parities):
-        return
-    level = hard_level(w)
-    parent = {w: None}  # every vector seen, with the one it was split from
-    frontier = deque([w])
-    while frontier and len(parent) < OBS_MAX_STATES:
-        vec = frontier.popleft()
-        if parent[vec] is not None:  # the unsplit w is covered by the direct lemma checks
-            base = _base_hard_certificate(vec, parities)
-            if base is not None:
-                chain = []
-                while vec is not None:
-                    chain.append(list(vec))
-                    vec = parent[vec]
-                certs.append(
-                    Certificate(level, CertificateSource.OBS_REDUCTION, {"chain": chain[::-1], "base": base.source.value})
-                )
-                return
-        for i, x in enumerate(vec):
-            if x % 2 or (i and vec[i - 1] == x):
-                continue
-            half = x // 2
-            rest = vec[:i] + vec[i + 1:]
-            at = bisect_left(rest, -half, key=neg)
-            nv = rest[:at] + (half, half) + rest[at:]
-            if nv not in parent:
-                parent[nv] = vec
-                frontier.append(nv)
+    chain = [w]
+    for _ in range(1 if len(w) > 1 else 2):
+        vec = chain[-1]
+        i = next((i for i, x in enumerate(vec) if x % 2 == 0), None)
+        if i is None:
+            return
+        half = vec[i] // 2
+        rest = vec[:i] + vec[i + 1:]
+        at = bisect_left(rest, -half, key=neg)
+        chain.append(rest[:at] + (half, half) + rest[at:])
+        base = _base_hard_certificate(chain[-1], parities)
+        if base is not None:
+            witness = {"chain": [list(v) for v in chain], "base": base.source.value}
+            certs.append(Certificate(hard_level(w), CertificateSource.OBS_REDUCTION, witness))
+            return
 
 
 def certify_lower_bound(weights) -> list[Certificate]:
@@ -375,7 +321,7 @@ def certify_lower_bound(weights) -> list[Certificate]:
     if not w:
         return []
     certs: list[Certificate] = []
-    parities: dict = {}  # equal-head parities, shared by w's split closure
+    parities: dict = {}  # equal-head parities, shared by w and its split vectors
     _suly1(w, certs)
     _suly1forma_i(w, certs, parities)
     _suly1forma_ii(w, certs, parities)

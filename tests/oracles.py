@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from majority_game.bounds import OBS_MAX_STATES, Certificate, CertificateSource, hard_level, two_adic_valuation
+from majority_game.bounds import Certificate, CertificateSource, hard_level, two_adic_valuation
 from majority_game.core import BLUE, RED, Answer, Graph, IllegalQueryError, Outcome, QueryState, normalize_edge
 from majority_game.graphsolver import GameView, _merge_codes, _merge_nbrs, encode_state
 from majority_game.weighted import normalize, signed_sum_counts, strip_zeros, weighted_terminal
@@ -521,6 +521,9 @@ def base_hard_certificate(w):
     suly2(w, certs)
     level = hard_level(w)
     return next((c for c in certs if c.bound == level), None)
+
+
+OBS_MAX_STATES = 4000  # split vectors the reference walk visits at most
 
 
 def obs_reduction(w, certs):

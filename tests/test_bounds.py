@@ -304,7 +304,7 @@ def test_head_rule_matches_the_reference_lemmas():
 
 
 LARGE_VECTORS = [(10**5, 10**5 - 1, 3), (10**5, 10**5, 7, 3), (10**9, 10**9 - 1, 3)]
-# the split search from this vector reaches the cap of OBS_MAX_STATES
+# the reference walk from this vector reaches its cap of OBS_MAX_STATES
 CAPPED = (2**31 - 127, 128)
 SINGLE_BALLS = [(x,) for x in range(1, 25)]
 
@@ -320,22 +320,25 @@ def test_certify_matches_the_per_vector_reference():
     assert fired > 100
 
 
-def test_split_closure_decision_matches_the_reference_walk():
-    # wherever the decision rules w's split closure out, the reference walk,
-    # which checks every split vector it visits, certifies none; a single
-    # ball is never ruled out when it splits, as (12,) certifies only
-    # through [6, 6] -> [6, 3, 3]
-    ruled_out = 0
+def test_one_split_matches_the_reference_walk():
+    # the hardness search base-checks one split vector, the reference walk
+    # every split vector it visits up to its cap: both emit the same
+    # certificate, or none, on every vector; a single ball is split twice,
+    # as (12,) certifies only through [6, 6] -> [6, 3, 3]
+    fired = 0
     for v in weight_multisets(24) + c5_vectors() + LARGE_VECTORS + [CAPPED] + SINGLE_BALLS:
         w = strip_zeros(normalize(v))
-        if not w or bounds._split_closure_may_certify(w, {}):
+        if not w:
             continue
-        certs = []
-        obs_reduction(w, certs)
-        assert certs == [], w
-        assert len(w) > 1 or w[0] % 2, w
-        ruled_out += any(x % 2 == 0 for x in w)  # the walk would have visited a split vector
-    assert ruled_out > 3000
+        got, want = [], []
+        bounds._obs_reduction(w, got)
+        obs_reduction(w, want)
+        assert got == want, w
+        fired += bool(got)
+    assert fired > 2000
+    got = []
+    bounds._obs_reduction((12,), got)
+    assert [c.witness["chain"] for c in got] == [[[12], [6, 6], [6, 3, 3]]]
 
 
 def _split_closure(w):
@@ -401,12 +404,11 @@ def test_equal_head_parities_are_constant_on_the_split_closure():
 
 
 def test_large_weights_certify_in_few_parity_calls(monkeypatch):
-    # (10^9, 10^9 - 1, 3) has an even total, p/2 even and half its total
-    # no power of two, so no split vector can be certified and the split
-    # search is skipped; (2^31 - 127, 128) has two balls and an odd total,
-    # which the decision admits, and the search visits thousands of vectors
-    # up to its cap without a certificate; their equal-head parities repeat
-    # per t
+    # the hardness search base-checks one split vector, and the equal-head
+    # parities of w serve it, so large weights cost a few parity calls:
+    # (10^9, 10^9 - 1, 3) certifies directly, and (2^31 - 127, 128), whose
+    # split closure the reference walk visits up to its cap, certifies
+    # nothing
     base_calls, parity_calls = [], []
     base, parity = bounds._base_hard_certificate, weighted.majority_counts
 
@@ -424,12 +426,12 @@ def test_large_weights_certify_in_few_parity_calls(monkeypatch):
     assert certify_lower_bound((10**9, 10**9 - 1, 3)) == [
         Certificate(1, CertificateSource.SULY1FORMA_II, {"n": 0, "head": 10**9, "fixed_ball": 10**9 - 1})
     ]
-    assert len(base_calls) == 0
+    assert len(base_calls) == 1
     assert 0 < len(parity_calls) < 100
     base_calls.clear()
     parity_calls.clear()
     assert certify_lower_bound((2147483521, 128)) == []
-    assert len(base_calls) > 1000
+    assert len(base_calls) == 1
     assert 0 < len(parity_calls) < 100
 
 

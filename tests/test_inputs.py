@@ -28,8 +28,9 @@ def test_lookups_and_names_are_input_errors():
 
 
 def test_size_limits_come_before_the_solvability_check():
-    # a million isolated vertices: the component scan behind the
-    # solvability check would build one set per vertex, some 260 MB
+    # a million isolated vertices: the size limits reject the graph first;
+    # the solvability check counts components with a bytearray of seen
+    # flags and would reject this graph on its edge count alone
     g = Graph.from_edges(10**6, [])
     for call, args in [(GraphSolver, (g,)), (nondet.m_nd, (g,)), (nondet.cert, (g, "RB"))]:
         tracemalloc.start()
